@@ -13,8 +13,8 @@ pluggable asynchronous backends:
 * :mod:`~repro.serving.hedge` — :class:`HedgedClient`, the concurrent
   request path: primary dispatch, policy-armed reissue timers,
   first-response-wins cancellation, deadlines and admission control.
-* :mod:`~repro.serving.metrics` — streaming telemetry on the t-digest and
-  P² sketches (live p50/p99/p99.9, reissue rate, cancellation wins).
+* :mod:`~repro.serving.metrics` — streaming telemetry on a mergeable
+  t-digest (live p50/p99/p99.9, reissue rate, cancellation wins).
 * :mod:`~repro.serving.autotune` — feeds observed samples back into
   :class:`repro.core.online.OnlinePolicyController` so the running policy
   re-fits under drift.

@@ -499,7 +499,7 @@ def run_loadgen_command(args) -> int:
         if args.procs is not None:
             # Worker processes rebuild their backends from the shipped
             # scenario dict — the tuner (if any) is likewise built
-            # inside the tuned worker, never pickled across.
+            # inside the tuned worker, never shipped across.
             fleet = ProcessFleet(
                 args.procs,
                 scenario,

@@ -22,22 +22,21 @@ whose cost is paid over a real transport instead of an in-process call.
 * :class:`PolicyStoreServer` / :class:`RemotePolicyStore` — the
   fleet-shared :class:`~repro.serving.fleet.PolicyStore` moved behind a
   socket. The server (in the front-door process) owns the versioned
-  store; each worker's ``RemotePolicyStore`` is a drop-in replacement
-  whose ``get()`` serves a locally cached ``(version, policy)`` snapshot
-  refreshed every few calls, so one worker's autotuner refit still
-  propagates fleet-wide with the same monotone-version semantics at an
-  amortized per-request cost of a fraction of a socket round trip.
+  store. The front door stamps the store's version on every request
+  frame, and a worker's ``RemotePolicyStore`` fetches the policy only
+  when that version is newer than its cache. So one worker's autotuner
+  refit reaches every worker before it serves its next request, at no
+  per-request socket cost.
 
 Wire protocol
 -------------
-Every message is one frame: a 4-byte big-endian payload length, then a
-1-byte message type, then the payload. Control messages (request,
-response, shed, error, health, store get/publish) carry UTF-8 JSON;
-the metrics-pull and shutdown replies carry a pickle (the t-digest
-behind ``ServingMetrics`` has no stable JSON form). Pickle is only ever
-read from sockets this process itself created — a private Unix socket
-path or a 127.0.0.1 port handed to its own children — never from
-untrusted peers.
+Every message is one frame: a 4-byte big-endian length (type byte plus
+payload, at most :data:`MAX_FRAME_BYTES`), a 1-byte type, the payload.
+The two hot frames, ``REQUEST`` and ``RESPONSE``, are fixed-width
+``struct`` records (layouts below); every other frame is UTF-8 JSON,
+metrics in their :meth:`ServingMetrics.to_dict` form. A frame of the
+wrong length or an unknown type raises ``ConnectionError`` naming the
+frame type before its payload is read.
 
 Observability crosses the process boundary the same way the pipeline's
 pool does: the front door captures :func:`repro.obs.snapshot_context`,
@@ -53,7 +52,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import socket
 import struct
@@ -72,24 +70,46 @@ from .metrics import ServingMetrics
 #: Transports the fleet (and ``repro loadgen --transport``) accepts.
 TRANSPORTS = ("unix", "tcp")
 
-_LEN = struct.Struct("!I")
+_HEAD = struct.Struct("!IB")  # frame length, type byte
+
+#: The largest frame length a reader accepts; a corrupt length prefix
+#: fails at once instead of waiting for gigabytes that never come.
+MAX_FRAME_BYTES = 64 << 20
+
+#: Write-buffer size above which a sender awaits ``drain()`` (asyncio's
+#: default high-water mark); below it a frame write never yields.
+_HIGH_WATER = 64 << 10
 
 # -- message types -----------------------------------------------------------
-MSG_REQUEST = 0x01  # parent -> worker: {"seq", "qid"}
-MSG_RESPONSE = 0x02  # worker -> parent: {"seq", "qid", outcome fields}
+MSG_REQUEST = 0x01  # parent -> worker: _REQUEST record
+MSG_RESPONSE = 0x02  # worker -> parent: _RESPONSE record
 MSG_SHED = 0x03  # worker -> parent: {"seq", "qid"} (admission shed)
 MSG_ERROR = 0x04  # worker -> parent: {"seq", "qid", "error"}
 MSG_HEALTH = 0x05  # parent -> worker: {}
 MSG_HEALTHY = 0x06  # worker -> parent: {"shard", "pid", "served"}
 MSG_METRICS = 0x07  # parent -> worker: {} (metrics-pull)
-MSG_METRICS_REPLY = 0x08  # worker -> parent: pickle {"metrics", "stats"}
+MSG_METRICS_REPLY = 0x08  # worker -> parent: {"metrics", "stats"}
 MSG_SHUTDOWN = 0x09  # parent -> worker: {}
-MSG_BYE = 0x0A  # worker -> parent: pickle {"stats", "spans"}
+MSG_BYE = 0x0A  # worker -> parent: {"stats", "spans"}
 MSG_STORE_GET = 0x14  # client -> store: {}
 MSG_STORE_STATE = 0x15  # store -> client: {"version", "policy"}
 MSG_STORE_PUBLISH = 0x16  # client -> store: {"policy", "source"}
 
-_PICKLED_TYPES = frozenset({MSG_METRICS_REPLY, MSG_BYE})
+#: Type byte -> name, for errors ("REQUEST", "BYE", ...).
+_NAMES = {v: k[4:] for k, v in list(globals().items()) if k.startswith("MSG_")}
+
+# -- fixed-width records -----------------------------------------------------
+#: REQUEST: seq u64, query id i64, policy-store version u64 (24 bytes).
+_REQUEST = struct.Struct("!QqQ")
+#: RESPONSE: seq u64, query id i64, latency_ms f64, winner code u8,
+#: n_planned / n_reissues / cancelled u32, deadline flag, has-pair flag,
+#: probe pair (primary, reissue) 2 x f64 (55 bytes).
+_RESPONSE = struct.Struct("!QqdBIII??dd")
+_WIDTHS = {MSG_REQUEST: _REQUEST.size, MSG_RESPONSE: _RESPONSE.size}
+_REQUEST_FRAME = struct.Struct(_HEAD.format + _REQUEST.format[1:])
+_RESPONSE_FRAME = struct.Struct(_HEAD.format + _RESPONSE.format[1:])
+_WINNERS = ("primary", "reissue", "none")
+_WINNER_CODES = {name: code for code, name in enumerate(_WINNERS)}
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +118,73 @@ _PICKLED_TYPES = frozenset({MSG_METRICS_REPLY, MSG_BYE})
 
 
 def encode_frame(msg_type: int, body) -> bytes:
-    """One wire frame: length prefix, type byte, JSON or pickle payload."""
-    if msg_type in _PICKLED_TYPES:
-        payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        payload = json.dumps(body, separators=(",", ":")).encode()
-    return _LEN.pack(len(payload) + 1) + bytes((msg_type,)) + payload
+    """One wire frame. ``REQUEST`` bodies are ``(seq, qid, version)``,
+    ``RESPONSE`` bodies ``(seq, RequestOutcome)``; the rest are JSON."""
+    if msg_type == MSG_REQUEST:
+        return _REQUEST_FRAME.pack(_REQUEST.size + 1, msg_type, *body)
+    if msg_type == MSG_RESPONSE:
+        seq, out = body
+        return _RESPONSE_FRAME.pack(
+            _RESPONSE.size + 1, msg_type, seq, out.query_id, out.latency_ms,
+            _WINNER_CODES[out.winner], out.n_planned, out.n_reissues,
+            out.cancelled_attempts, out.deadline_exceeded,
+            out.pair is not None, *(out.pair or (0.0, 0.0)),
+        )
+    payload = json.dumps(body, separators=(",", ":"), default=float).encode()
+    return _HEAD.pack(len(payload) + 1, msg_type) + payload
 
 
 def decode_payload(msg_type: int, payload: bytes):
-    if msg_type in _PICKLED_TYPES:
-        return pickle.loads(payload)
-    return json.loads(payload.decode())
+    """Inverse of :func:`encode_frame` for one frame's payload; raises
+    ``ConnectionError`` naming the frame type when it is malformed."""
+    name = _frame_name(msg_type)
+    try:
+        if msg_type == MSG_REQUEST:
+            return _REQUEST.unpack(payload)
+        if msg_type == MSG_RESPONSE:
+            (seq, qid, latency, winner, planned, reissues, cancelled,
+             deadline, has_pair, first, second) = _RESPONSE.unpack(payload)
+            pair = (first, second) if has_pair else None
+            return seq, RequestOutcome(
+                qid, latency, _WINNERS[winner], planned, reissues,
+                cancelled, deadline, pair,
+            )
+        body = json.loads(payload)
+    except (struct.error, ValueError, IndexError) as exc:
+        raise ConnectionError(f"malformed {name} frame: {exc}") from None
+    if not isinstance(body, dict):
+        raise ConnectionError(f"malformed {name} frame: not a JSON object")
+    return body
+
+
+def _frame_name(msg_type: int) -> str:
+    try:
+        return _NAMES[msg_type]
+    except KeyError:
+        raise ConnectionError(f"unknown frame type {msg_type:#04x}") from None
+
+
+def _payload_size(length: int, msg_type: int) -> int:
+    """Check a frame header before reading its payload."""
+    name = _frame_name(msg_type)
+    if not 1 <= length <= MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"{name} frame length {length} outside [1, {MAX_FRAME_BYTES}]"
+        )
+    width = _WIDTHS.get(msg_type, length - 1)
+    if length - 1 != width:
+        raise ConnectionError(
+            f"{name} frame has {length - 1} payload bytes, expected {width}"
+        )
+    return width
 
 
 async def read_frame(reader: asyncio.StreamReader) -> tuple[int, object]:
-    """Read one frame; raises ``IncompleteReadError`` on a closed peer."""
-    head = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(head)
-    blob = await reader.readexactly(length)
-    return blob[0], decode_payload(blob[0], blob[1:])
+    """Read one frame; raises ``IncompleteReadError`` on a closed peer
+    and ``ConnectionError`` on a malformed frame."""
+    length, msg_type = _HEAD.unpack(await reader.readexactly(_HEAD.size))
+    payload = await reader.readexactly(_payload_size(length, msg_type))
+    return msg_type, decode_payload(msg_type, payload)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -133,9 +200,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def recv_frame_blocking(sock: socket.socket) -> tuple[int, object]:
     """Blocking-socket twin of :func:`read_frame`."""
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    blob = _recv_exact(sock, length)
-    return blob[0], decode_payload(blob[0], blob[1:])
+    length, msg_type = _HEAD.unpack(_recv_exact(sock, _HEAD.size))
+    payload = _recv_exact(sock, _payload_size(length, msg_type))
+    return msg_type, decode_payload(msg_type, payload)
 
 
 def _connect_blocking(transport: str, address, timeout: float) -> socket.socket:
@@ -214,7 +281,7 @@ class PolicyStoreServer:
             while True:
                 try:
                     msg_type, body = recv_frame_blocking(conn)
-                except (ConnectionError, OSError, struct.error):
+                except (ConnectionError, OSError):
                     return
                 if msg_type == MSG_STORE_GET:
                     version, policy = self.store.get()
@@ -251,11 +318,12 @@ class PolicyStoreServer:
 class RemotePolicyStore:
     """Worker-side :class:`PolicyStore` replacement over a socket.
 
-    ``get()`` returns a locally cached ``(version, policy)`` snapshot
-    and refreshes it from the server every ``poll_every`` calls — the
-    per-request policy sync the :class:`ShardWorker` does stays O(1)
-    with a bounded staleness of ``poll_every`` requests, which is the
-    same order as the in-loop fleet's "adopt before the next request".
+    ``get()`` returns the locally cached ``(version, policy)`` snapshot
+    and never touches the socket. The front door stamps the
+    authoritative version on every request frame; :meth:`observe`
+    refreshes the cache only when that version is newer, so a worker
+    adopts a publish before it serves the next request routed to it, at
+    the cost of one round trip per publish rather than per request.
     ``publish()`` is a synchronous round trip (refits are rare) and
     updates the cache immediately, so a tuned worker always serves the
     version it just published.
@@ -266,18 +334,13 @@ class RemotePolicyStore:
         address,
         *,
         transport: str = "unix",
-        poll_every: int = 8,
         timeout: float = 10.0,
     ):
-        if poll_every < 1:
-            raise ValueError("poll_every must be >= 1")
         self.transport = transport
         self.address = address
-        self.poll_every = int(poll_every)
         self.timeout = float(timeout)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
-        self._calls = 0
         self._version = 0
         self._policy: ReissuePolicy | None = None
         self.refresh()  # fail fast if the server is unreachable
@@ -327,14 +390,16 @@ class RemotePolicyStore:
         self._adopt(self._rpc(MSG_STORE_GET, {}))
         return self._version, self._policy
 
-    def get(self) -> tuple[int, ReissuePolicy | None]:
-        """The cached ``(version, policy)``, refreshed every few calls."""
-        self._calls += 1
-        if self._version == 0 or self._calls % self.poll_every == 0:
+    def observe(self, version: int) -> None:
+        """Refresh if the fleet's store has moved past the cache."""
+        if version > self._version:
             try:
                 self.refresh()
             except (ConnectionError, OSError):
-                pass  # serve the cached policy; next poll retries
+                pass  # serve the cached policy; the next request retries
+
+    def get(self) -> tuple[int, ReissuePolicy | None]:
+        """The cached ``(version, policy)``."""
         return self._version, self._policy
 
     def publish(self, policy: ReissuePolicy, source: str = "") -> int:
@@ -391,9 +456,7 @@ async def _worker_serve(spec: dict) -> None:
     if spec.get("policy") is not None and tuner is None:
         policy = ReissuePolicy.from_spec(spec["policy"])
     store = RemotePolicyStore(
-        spec["store_address"],
-        transport=spec["transport"],
-        poll_every=spec.get("poll_every", 8),
+        spec["store_address"], transport=spec["transport"]
     )
     client = HedgedClient(
         backend,
@@ -406,6 +469,7 @@ async def _worker_serve(spec: dict) -> None:
     )
     shard = ShardWorker(shard_id, client, store, spec["admission_limit"])
     done = asyncio.Event()
+    tasks: set[asyncio.Task] = set()  # strong refs: a bare task is weak
 
     def worker_stats() -> dict:
         stats = shard.stats()
@@ -422,9 +486,12 @@ async def _worker_serve(spec: dict) -> None:
         wlock = asyncio.Lock()
 
         async def send(msg_type: int, body) -> None:
-            async with wlock:
-                writer.write(encode_frame(msg_type, body))
-                await writer.drain()
+            if writer.is_closing():
+                return  # the parent hung up; it already shed this seq
+            writer.write(encode_frame(msg_type, body))
+            if writer.transport.get_write_buffer_size() > _HIGH_WATER:
+                async with wlock:
+                    await writer.drain()
 
         async def serve_request(seq: int, qid: int) -> None:
             # If the parent connection closed mid-request the reply has
@@ -451,22 +518,7 @@ async def _worker_serve(spec: dict) -> None:
             if outcome is None:
                 await send(MSG_SHED, {"seq": seq, "qid": qid})
                 return
-            await send(
-                MSG_RESPONSE,
-                {
-                    "seq": seq,
-                    "qid": qid,
-                    "latency_ms": outcome.latency_ms,
-                    "winner": outcome.winner,
-                    "n_planned": outcome.n_planned,
-                    "n_reissues": outcome.n_reissues,
-                    "cancelled": outcome.cancelled_attempts,
-                    "deadline": outcome.deadline_exceeded,
-                    "pair": (
-                        None if outcome.pair is None else list(outcome.pair)
-                    ),
-                },
-            )
+            await send(MSG_RESPONSE, (seq, outcome))
 
         try:
             while True:
@@ -475,9 +527,11 @@ async def _worker_serve(spec: dict) -> None:
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 if msg_type == MSG_REQUEST:
-                    asyncio.ensure_future(
-                        serve_request(body["seq"], body["qid"])
-                    )
+                    seq, qid, version = body
+                    store.observe(version)
+                    task = asyncio.ensure_future(serve_request(seq, qid))
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
                 elif msg_type == MSG_HEALTH:
                     await send(
                         MSG_HEALTHY,
@@ -490,7 +544,10 @@ async def _worker_serve(spec: dict) -> None:
                 elif msg_type == MSG_METRICS:
                     await send(
                         MSG_METRICS_REPLY,
-                        {"metrics": client.metrics, "stats": worker_stats()},
+                        {
+                            "metrics": client.metrics.to_dict(),
+                            "stats": worker_stats(),
+                        },
                     )
                 elif msg_type == MSG_SHUTDOWN:
                     if tuner is not None:
@@ -584,10 +641,11 @@ class WorkerHandle:
 
     # -- lifecycle -----------------------------------------------------------
     def spawn(self) -> None:
-        self.process = self._ctx.Process(
+        process = self._ctx.Process(
             target=_worker_main, args=(self.spec,), daemon=True
         )
-        self.process.start()
+        process.start()
+        self.process = process
 
     def wait_ready(self, timeout: float) -> None:
         deadline = time.monotonic() + timeout
@@ -610,11 +668,10 @@ class WorkerHandle:
 
     @property
     def alive(self) -> bool:
-        return (
-            not self.died
-            and self.process is not None
-            and self.process.is_alive()
-        )
+        """False once the worker is known dead: its request connection
+        hit EOF or a connection to it failed (or it never came up).
+        Never polls the process."""
+        return not self.died and self.address is not None
 
     @property
     def load(self) -> int:
@@ -622,19 +679,23 @@ class WorkerHandle:
         return self.in_flight
 
     # -- the request path ----------------------------------------------------
-    async def _ensure_connected(self) -> None:
+    async def _connection(self) -> asyncio.StreamWriter:
+        """The request connection on the running loop, opened on first
+        use (the LoadGenerator runs one ``asyncio.run`` per run)."""
         loop = asyncio.get_running_loop()
+        writer = self._writer
+        if self._loop is loop and writer and not writer.is_closing():
+            return writer
         if self._loop is not loop:
-            # First touch from a new event loop (the LoadGenerator runs
-            # one asyncio.run per run): reset per-loop state. No await
-            # between the check and the reset, so this is race-free.
+            # First touch from a new event loop: reset per-loop state. No
+            # await between the check and the reset, so this is race-free.
             self._loop = loop
             self._reader = self._writer = self._read_task = None
             self._wlock = asyncio.Lock()
             self._conn_lock = asyncio.Lock()
         async with self._conn_lock:
             if self._writer is not None and not self._writer.is_closing():
-                return
+                return self._writer
             if self.spec["transport"] == "unix":
                 reader, writer = await asyncio.open_unix_connection(
                     self.address
@@ -646,24 +707,27 @@ class WorkerHandle:
                 )
             self._reader, self._writer = reader, writer
             self._read_task = loop.create_task(self._read_loop(reader))
+            return writer
 
     async def _read_loop(self, reader) -> None:
         try:
             while True:
                 msg_type, body = await read_frame(reader)
-                future = self._pending.pop(body.get("seq"), None)
+                seq = body[0] if msg_type == MSG_RESPONSE else body.get("seq")
+                future = self._pending.pop(seq, None)
                 if future is not None and not future.done():
                     future.set_result((msg_type, body))
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
+            # EOF or a broken frame: the worker exited or stopped
+            # speaking the protocol. Route nothing more to it.
+            if reader is self._reader:
+                self.died = True
         finally:
-            # Runs both on worker EOF and on event-loop teardown (task
-            # cancellation): fail whatever is still pending — those
-            # requests will never be answered on this connection — but
-            # only mark the worker dead if its process actually exited.
+            # Also runs on event-loop teardown (task cancellation), which
+            # is not death: either way, whatever is still pending will
+            # never be answered on this connection.
             if reader is self._reader:
                 self._fail_pending()
-                self._check_liveness()
 
     def _fail_pending(self) -> None:
         """The pipe closed: fail every pending request as shed."""
@@ -672,49 +736,35 @@ class WorkerHandle:
             if not future.done():
                 future.set_exception(_WorkerDied())
 
-    def _check_liveness(self) -> None:
-        if self.process is not None and not self.process.is_alive():
-            self.died = True
-
-    async def submit(self, query_id: int) -> RequestOutcome | None:
-        """Dispatch one request; ``None`` means shed, errored, or lost
-        to a dying worker — the caller's stream never sees an exception."""
+    async def submit(
+        self, query_id: int, version: int
+    ) -> RequestOutcome | None:
+        """Dispatch one request stamped with the fleet's policy-store
+        ``version``; ``None`` means shed, errored, or lost to a dying
+        worker — the caller's stream never sees an exception."""
         self.dispatched += 1
-        if not self.alive:
-            self.shed += 1
-            return None
         seq = next(self._seq)
         self.in_flight += 1
         try:
-            await self._ensure_connected()
-            future = asyncio.get_running_loop().create_future()
+            writer = await self._connection()
+            future = self._loop.create_future()
             self._pending[seq] = future
-            frame = encode_frame(
-                MSG_REQUEST, {"seq": seq, "qid": int(query_id)}
-            )
-            async with self._wlock:
-                self._writer.write(frame)
-                await self._writer.drain()
+            writer.write(encode_frame(MSG_REQUEST, (seq, query_id, version)))
+            if writer.transport.get_write_buffer_size() > _HIGH_WATER:
+                async with self._wlock:
+                    await writer.drain()
             msg_type, body = await future
-        except (_WorkerDied, ConnectionError, OSError):
+        except (ConnectionError, OSError) as exc:
             self._pending.pop(seq, None)
-            self._check_liveness()
+            if not isinstance(exc, _WorkerDied):
+                self.died = True  # refused or reset: nobody is serving
             self.shed += 1
             return None
         finally:
             self.in_flight -= 1
         if msg_type == MSG_RESPONSE:
             self.completed += 1
-            outcome = RequestOutcome(
-                query_id=int(body["qid"]),
-                latency_ms=float(body["latency_ms"]),
-                winner=body["winner"],
-                n_planned=int(body["n_planned"]),
-                n_reissues=int(body["n_reissues"]),
-                cancelled_attempts=int(body["cancelled"]),
-                deadline_exceeded=bool(body["deadline"]),
-                pair=None if body["pair"] is None else tuple(body["pair"]),
-            )
+            outcome = body[1]
             self.shadow.record(outcome)
             return outcome
         if msg_type == MSG_SHED:
@@ -749,6 +799,7 @@ class WorkerHandle:
             return None
         if msg_type != MSG_METRICS_REPLY:
             return None
+        body["metrics"] = ServingMetrics.from_dict(body["metrics"])
         return body
 
     def healthcheck(self, timeout: float = 5.0) -> dict | None:
@@ -771,15 +822,16 @@ class WorkerHandle:
             except (ConnectionError, OSError, TimeoutError):
                 pass
         if self.process is not None:
+            if bye is not None:
+                self.process.join(timeout=timeout)  # it exits after BYE
+            self.kill()  # dead, hung or unreachable: don't wait for it
             self.process.join(timeout=timeout)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=timeout)
         return bye
 
     def kill(self) -> None:
-        """SIGKILL the worker (fault injection for tests)."""
-        if self.process is not None and self.process.is_alive():
+        """SIGKILL the worker (fault injection for tests); a no-op once
+        it has been reaped."""
+        if self.process is not None:
             self.process.kill()
 
 
@@ -799,8 +851,7 @@ class ProcessFleet:
     Parameters mirror ``ServingFleet.build`` plus the process-fleet
     knobs: ``transport`` (``"unix"`` default, ``"tcp"``), ``autotune``
     (an :class:`AutoTuner` kwargs dict for the tuned shard — the tuner
-    itself must be built in the worker process), and ``poll_every``
-    (worker policy-cache refresh stride).
+    itself must be built in the worker process).
     """
 
     def __init__(
@@ -818,7 +869,6 @@ class ProcessFleet:
         tuned_shard: int = 0,
         time_scale: float = 2e-5,
         transport: str = "unix",
-        poll_every: int = 8,
         seed: int = 0,
         spawn_timeout: float = 60.0,
     ):
@@ -876,7 +926,6 @@ class ProcessFleet:
                 "ready_path": os.path.join(
                     self._runtime_dir, f"worker{i}.ready"
                 ),
-                "poll_every": int(poll_every),
                 "seed": int(seed),
                 "trace_ctx": trace_ctx,
             }
@@ -930,13 +979,14 @@ class ProcessFleet:
             self.shed_unrouted += 1
             return None
         worker = live[self.selector.select(live, query_id, key) % len(live)]
+        version = self._store_server.store.version
         tracer = get_tracer()
         if not tracer.enabled:
-            return await worker.submit(query_id)
+            return await worker.submit(query_id, version)
         with tracer.span(
             "fleet.request", query_id=query_id, shard=worker.shard_id
         ) as span:
-            outcome = await worker.submit(query_id)
+            outcome = await worker.submit(query_id, version)
             span.attrs["ok"] = outcome is not None
             span.attrs["transport"] = self.transport
             return outcome

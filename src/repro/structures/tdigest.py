@@ -63,6 +63,30 @@ class TDigest:
         out._flush()
         return out
 
+    def to_dict(self) -> dict:
+        """JSON form: the flushed centroids, the extremes (``None`` while
+        empty, so no ±inf reaches strict JSON) and the compression."""
+        self._flush()
+        empty = self._means.size == 0
+        return {
+            "compression": self.compression,
+            "means": self._means.tolist(),
+            "weights": self._weights.tolist(),
+            "min": None if empty else self._min,
+            "max": None if empty else self._max,
+        }
+
+    @classmethod
+    def from_dict(cls, state: dict) -> "TDigest":
+        """Rebuild a digest from :meth:`to_dict`; quantiles and merges
+        match the original bit for bit."""
+        out = cls(state["compression"])
+        out._means = np.asarray(state["means"], dtype=np.float64)
+        out._weights = np.asarray(state["weights"], dtype=np.float64)
+        if state["min"] is not None:
+            out._min, out._max = float(state["min"]), float(state["max"])
+        return out
+
     def _flush(self) -> None:
         if not self._buf_means and self._means.size:
             return

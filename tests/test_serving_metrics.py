@@ -39,14 +39,6 @@ class TestSketchAccuracy:
             exact = float(np.quantile(stream, p))
             assert m.quantile(p) == pytest.approx(exact, rel=0.05)
 
-    def test_p2_fast_path_tracks_tail(self, rng):
-        stream = rng.lognormal(3.0, 0.9, 20_000)
-        m = ServingMetrics()
-        for x in stream:
-            m.record_latency(float(x))
-        exact = float(np.quantile(stream, 0.99))
-        assert m.fast_quantile(0.99) == pytest.approx(exact, rel=0.15)
-
     def test_digest_merge_across_clients(self, rng):
         a, b = ServingMetrics(), ServingMetrics()
         sa = rng.lognormal(3.0, 0.5, 5_000)
@@ -180,9 +172,32 @@ class TestCrossShardMerge:
         merged = a.merge(b)
         for x in range(1, 200):
             merged.record_latency(float(x))
-        # Fresh P2 sketches for the union warm up from post-merge traffic.
-        for p in (0.5, 0.9, 0.99):
-            assert merged.fast_quantile(p) > 0
+        # The merged snapshot reports the union, read from the digest.
+        quantiles = merged.snapshot().quantiles
+        assert sorted(quantiles) == [0.5, 0.9, 0.99]
+        for p, value in quantiles.items():
+            assert value == merged.quantile(p)
+
+    def test_json_form_round_trips_bit_for_bit(self, rng):
+        import json
+
+        original = ServingMetrics(percentiles=(0.5, 0.9))
+        for i, x in enumerate(rng.lognormal(3.0, 0.8, 3_000)):
+            original.record(_outcome_of_kind(float(x), i % N_OUTCOME_KINDS))
+        text = json.dumps(original.to_dict(), allow_nan=False)
+        back = ServingMetrics.from_dict(json.loads(text))
+        other = ServingMetrics()
+        for x in rng.lognormal(4.0, 0.5, 500):
+            other.record_latency(float(x))
+        for merged, expect in (
+            (back.merge(other), original.merge(other)),
+            (other.merge(back), other.merge(original)),
+        ):
+            for counter in MERGE_COUNTERS:
+                assert getattr(merged, counter) == getattr(expect, counter)
+            for p in (0.0, 0.5, 0.9, 0.99, 0.999, 1.0):
+                assert merged.quantile(p) == expect.quantile(p)
+        assert back.snapshot() == original.snapshot()
 
 
 # -- property-based merge contract (requires hypothesis) ---------------------

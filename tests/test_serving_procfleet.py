@@ -10,23 +10,32 @@ exercised exactly as ``repro loadgen --procs`` uses them.
 import asyncio
 import json
 import socket
+import struct
 import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import SingleR
 from repro.scenarios import coerce_scenario
 from repro.serving.fleet import PolicyStore
+from repro.serving.hedge import RequestOutcome
 from repro.serving.loadgen import (
     RECORD_VERSION,
     LoadGenerator,
     as_record,
     validate_record,
 )
+from repro.serving.metrics import ServingMetrics
 from repro.serving.procfleet import (
+    MAX_FRAME_BYTES,
     MSG_BYE,
+    MSG_METRICS_REPLY,
     MSG_REQUEST,
     MSG_RESPONSE,
+    MSG_SHED,
     PolicyStoreServer,
     ProcessFleet,
     RemotePolicyStore,
@@ -46,50 +55,233 @@ def quick_scenario():
 # ---------------------------------------------------------------------------
 
 
+def response(qid=123, latency=4.5, winner="primary", n_planned=1,
+             n_reissues=0, cancelled=0, deadline=False, pair=None):
+    return RequestOutcome(
+        query_id=qid,
+        latency_ms=latency,
+        winner=winner,
+        n_planned=n_planned,
+        n_reissues=n_reissues,
+        cancelled_attempts=cancelled,
+        deadline_exceeded=deadline,
+        pair=pair,
+    )
+
+
+def round_trip(msg_type, body):
+    frame = encode_frame(msg_type, body)
+    # 4-byte length prefix (type byte + payload), then the type byte.
+    assert struct.unpack("!I", frame[:4])[0] == len(frame) - 4
+    assert frame[4] == msg_type
+    return decode_payload(frame[4], frame[5:])
+
+
 class TestFraming:
-    def test_json_frame_round_trip(self):
-        body = {"seq": 7, "qid": 123, "latency_ms": 4.5, "pair": None}
-        frame = encode_frame(MSG_REQUEST, body)
-        # 4-byte length prefix + 1 type byte, then the JSON payload.
-        assert frame[4] == MSG_REQUEST
-        assert decode_payload(frame[4], frame[5:]) == body
+    def test_binary_request_response_round_trip(self):
+        # REQUEST: seq, query id, store version in a fixed 24-byte record.
+        assert round_trip(MSG_REQUEST, (7, 123, 4)) == (7, 123, 4)
+        assert len(encode_frame(MSG_REQUEST, (2**40, -5, 2**33))) == 5 + 24
+        # RESPONSE: every outcome field survives, the latency bit for bit.
+        outcomes = [
+            response(latency=0.1 + 0.2),
+            response(latency=5e-324, winner="reissue", n_reissues=2,
+                     cancelled=1),
+            response(latency=float("inf"), winner="none", deadline=True,
+                     n_planned=0),
+            response(latency=12.75, pair=(3.0000000000000004, 1e-9)),
+        ]
+        for seq, out in enumerate(outcomes):
+            frame = encode_frame(MSG_RESPONSE, (seq, out))
+            assert len(frame) == 5 + 55  # fixed width, pair or not
+            got_seq, got = decode_payload(frame[4], frame[5:])
+            assert got_seq == seq
+            assert got == out
+            assert struct.pack("!d", got.latency_ms) == struct.pack(
+                "!d", out.latency_ms
+            )
 
-    def test_pickle_frame_round_trip(self):
-        from repro.serving.metrics import ServingMetrics
-
+    def test_metrics_reply_is_json_not_pickle(self, rng):
         metrics = ServingMetrics()
-        frame = encode_frame(MSG_BYE, {"stats": {"x": 1}, "metrics": metrics})
-        decoded = decode_payload(frame[4], frame[5:])
-        assert decoded["stats"] == {"x": 1}
-        assert decoded["metrics"].completed == 0
+        for x in rng.lognormal(3.0, 0.8, 500):
+            metrics.record(response(latency=float(x)))
+        frame = encode_frame(
+            MSG_METRICS_REPLY, {"metrics": metrics.to_dict(), "stats": {}}
+        )
+        # Strict JSON on the wire (an empty digest's extremes are null).
+        json.loads(frame[5:].decode())
+        body = decode_payload(frame[4], frame[5:])
+        back = ServingMetrics.from_dict(body["metrics"])
+        assert back.completed == 500
+        assert back.quantile(0.99) == metrics.quantile(0.99)
+        empty = round_trip(MSG_BYE, {"metrics": ServingMetrics().to_dict()})
+        assert empty["metrics"]["digest"]["min"] is None
 
     def test_blocking_and_async_readers_agree(self):
         parent, child = socket.socketpair()
         try:
-            body = {"seq": 1, "qid": 2}
+            body = (1, response(qid=2, winner="none", deadline=True))
             parent.sendall(encode_frame(MSG_RESPONSE, body))
-            msg_type, decoded = recv_frame_blocking(child)
-            assert (msg_type, decoded) == (MSG_RESPONSE, body)
+            parent.sendall(encode_frame(MSG_SHED, {"seq": 3, "qid": 4}))
+            assert recv_frame_blocking(child) == (MSG_RESPONSE, body)
+            assert recv_frame_blocking(child) == (
+                MSG_SHED, {"seq": 3, "qid": 4}
+            )
 
-            async def round_trip():
+            async def read_async():
                 reader = asyncio.StreamReader()
-                reader.feed_data(encode_frame(MSG_REQUEST, body))
+                reader.feed_data(encode_frame(MSG_REQUEST, (1, 2, 3)))
                 reader.feed_eof()
                 return await read_frame(reader)
 
-            msg_type, decoded = asyncio.run(round_trip())
-            assert (msg_type, decoded) == (MSG_REQUEST, body)
+            assert asyncio.run(read_async()) == (MSG_REQUEST, (1, 2, 3))
         finally:
             parent.close()
             child.close()
 
     def test_partial_frame_raises_on_closed_peer(self):
         parent, child = socket.socketpair()
-        parent.sendall(b"\x00\x00\x00\x10\x01trunc")
+        # A REQUEST header of the right width (25 = type + 24), cut short.
+        parent.sendall(b"\x00\x00\x00\x19\x01trunc")
         parent.close()
         with pytest.raises(ConnectionError):
             recv_frame_blocking(child)
         child.close()
+
+    def test_oversized_length_fails_fast_without_allocating(self):
+        # A corrupt prefix claiming ~4 GiB: rejected from the header
+        # alone, with the peer still open (no wait, no big buffer).
+        header = struct.pack("!IB", 0xFFFFFFF0, MSG_BYE)
+        parent, child = socket.socketpair()
+        child.settimeout(5.0)
+        try:
+            parent.sendall(header)
+            tracemalloc.start()
+            with pytest.raises(ConnectionError, match="BYE"):
+                recv_frame_blocking(child)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 64 * 1024
+        finally:
+            parent.close()
+            child.close()
+
+
+# ---------------------------------------------------------------------------
+# Framing fuzz: malformed input raises a named error, never hangs
+# ---------------------------------------------------------------------------
+
+
+def _feed_and_read(data: bytes, eof: bool):
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        if eof:
+            reader.feed_eof()
+        # A reader that waited on a malformed header would time out here.
+        return await asyncio.wait_for(read_frame(reader), timeout=2.0)
+
+    return asyncio.run(go())
+
+
+def _recv_from(data: bytes, close: bool):
+    parent, child = socket.socketpair()
+    child.settimeout(2.0)  # a hang surfaces as TimeoutError, not a pass
+    try:
+        parent.sendall(data)
+        if close:
+            parent.shutdown(socket.SHUT_WR)
+        return recv_frame_blocking(child)
+    finally:
+        parent.close()
+        child.close()
+
+
+_VALID_FRAMES = [
+    encode_frame(MSG_REQUEST, (1, 2, 3)),
+    encode_frame(MSG_RESPONSE, (9, response(pair=(1.0, 2.0)))),
+    encode_frame(MSG_SHED, {"seq": 1, "qid": 2}),
+]
+
+
+class TestFramingFuzz:
+    @given(
+        msg_type=st.integers(0, 255),
+        payload=st.one_of(
+            st.binary(max_size=80),
+            st.binary(min_size=24, max_size=24),  # REQUEST width
+            st.binary(min_size=55, max_size=55),  # RESPONSE width
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decode_payload_raises_only_named_errors(self, msg_type, payload):
+        try:
+            decode_payload(msg_type, payload)
+        except ConnectionError as exc:
+            assert "frame" in str(exc)
+
+    @given(
+        msg_type=st.sampled_from([MSG_REQUEST, MSG_RESPONSE]),
+        width=st.integers(0, 120),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_width_binary_frames_name_their_type(self, msg_type, width):
+        expected = 24 if msg_type == MSG_REQUEST else 55
+        frame = struct.pack("!IB", width + 1, msg_type) + bytes(width)
+        name = "REQUEST" if msg_type == MSG_REQUEST else "RESPONSE"
+        if width == expected:
+            assert _feed_and_read(frame, eof=True)[0] == msg_type
+            return
+        # Rejected from the header, before any payload byte is read.
+        for read in (
+            lambda: _feed_and_read(frame[:5], eof=False),
+            lambda: _recv_from(frame[:5], close=False),
+            lambda: decode_payload(msg_type, bytes(width)),
+        ):
+            with pytest.raises(ConnectionError, match=name):
+                read()
+
+    @given(
+        frame=st.sampled_from(_VALID_FRAMES),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_frames_raise_on_eof(self, frame, data):
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        with pytest.raises(asyncio.IncompleteReadError):
+            _feed_and_read(frame[:cut], eof=True)
+        with pytest.raises(ConnectionError):
+            _recv_from(frame[:cut], close=True)
+
+    @given(
+        length=st.one_of(
+            st.just(0), st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1)
+        ),
+        msg_type=st.sampled_from([MSG_REQUEST, MSG_SHED, MSG_BYE]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_out_of_range_lengths_are_refused_at_once(self, length, msg_type):
+        header = struct.pack("!IB", length, msg_type)
+        for read in (
+            lambda: _feed_and_read(header, eof=False),
+            lambda: _recv_from(header, close=False),
+        ):
+            with pytest.raises(ConnectionError, match="frame length"):
+                read()
+
+    @given(msg_type=st.integers(0, 255).filter(
+        lambda t: t not in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0x14, 0x15, 0x16)
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_unknown_types_are_refused_at_once(self, msg_type):
+        header = struct.pack("!IB", 8, msg_type)
+        for read in (
+            lambda: _feed_and_read(header, eof=False),
+            lambda: _recv_from(header, close=False),
+            lambda: decode_payload(msg_type, b"{}"),
+        ):
+            with pytest.raises(ConnectionError, match="unknown frame type"):
+                read()
 
 
 # ---------------------------------------------------------------------------
@@ -98,41 +290,46 @@ class TestFraming:
 
 
 class TestRemotePolicyStore:
-    def test_publish_propagates_between_clients(self, tmp_path):
+    def test_adopts_exactly_when_advertised_version_increases(
+        self, tmp_path
+    ):
         server = PolicyStoreServer(
             PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
         )
+        round_trips = []
+        real_get = server.store.get
+
+        def counted_get():
+            round_trips.append(1)
+            return real_get()
+
+        server.store.get = counted_get
         try:
-            a = RemotePolicyStore(server.address, poll_every=1)
-            b = RemotePolicyStore(server.address, poll_every=1)
-            # Both see the seed publish (version 1).
-            assert a.get() == (1, SingleR(10.0, 0.5))
-            assert b.get() == (1, SingleR(10.0, 0.5))
-            # A publish from one client reaches the other at v2, with
-            # the same monotone-version + provenance semantics as the
-            # in-process store.
+            a = RemotePolicyStore(server.address)
+            b = RemotePolicyStore(server.address)
+            assert len(round_trips) == 2  # one snapshot each at start
+            assert a.get() == b.get() == (1, SingleR(10.0, 0.5))
+            # A publish from one client lands at v2 with the in-process
+            # store's provenance; the publisher's cache updates in place.
             assert a.publish(SingleR(25.0, 0.3), source="clientA") == 2
-            assert a.version == 2  # publisher's cache updates in place
-            assert b.get() == (2, SingleR(25.0, 0.3))
+            assert a.get() == (2, SingleR(25.0, 0.3))
             assert server.store.publishes == [(1, "init"), (2, "clientA")]
+            # get() never touches the socket, however often it runs, and
+            # an advertised version that is not newer costs nothing.
+            for advertised in (0, 1, 1, 1):
+                b.observe(advertised)
+                assert b.get() == (1, SingleR(10.0, 0.5))
+            assert len(round_trips) == 2
+            # The first newer version adopts the publish: one round trip.
+            b.observe(2)
+            assert b.get() == (2, SingleR(25.0, 0.3))
+            assert len(round_trips) == 3
+            for _ in range(3):
+                b.observe(2)
+            a.observe(2)  # the publisher already holds v2
+            assert len(round_trips) == 3
             a.close()
             b.close()
-        finally:
-            server.close()
-
-    def test_get_serves_cache_between_polls(self, tmp_path):
-        server = PolicyStoreServer(
-            PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
-        )
-        try:
-            client = RemotePolicyStore(server.address, poll_every=1000)
-            assert client.get()[0] == 1
-            server.store.publish(SingleR(99.0, 0.1), source="direct")
-            # Bounded staleness: inside the poll stride the cached
-            # snapshot is served; an explicit refresh sees the publish.
-            assert client.get()[0] == 1
-            assert client.refresh() == (2, SingleR(99.0, 0.1))
-            client.close()
         finally:
             server.close()
 
@@ -142,6 +339,9 @@ class TestRemotePolicyStore:
             client = RemotePolicyStore(server.address, transport="tcp")
             assert client.get() == (0, None)
             assert client.publish(SingleR(5.0, 0.2), source="t") == 1
+            server.store.publish(SingleR(6.0, 0.1), source="direct")
+            client.observe(2)
+            assert client.get() == (2, SingleR(6.0, 0.1))
             client.close()
         finally:
             server.close()
@@ -201,6 +401,39 @@ class TestProcessFleet:
         fleet.close()
         for worker in fleet.workers:
             assert not worker.process.is_alive()
+
+    def test_hot_path_never_polls_process_liveness(self, monkeypatch):
+        import multiprocessing.process
+
+        scenario = quick_scenario()
+        fleet = ProcessFleet(
+            2,
+            scenario,
+            policy=scenario.build_policy(),
+            time_scale=0.0,
+            seed=4,
+        )
+        try:
+            calls = []
+            real = multiprocessing.process.BaseProcess.is_alive
+
+            def counted(process):
+                calls.append(process.pid)
+                return real(process)
+
+            monkeypatch.setattr(
+                multiprocessing.process.BaseProcess, "is_alive", counted
+            )
+            generator = LoadGenerator(fleet, rng=4)
+            result = generator.run(200, mode="open", target_rps=0)
+            assert result.completed == 200
+            # Death is learnt from EOF on the request connection: no
+            # waitpid per request (the old front door made three).
+            assert calls == []
+            assert all(worker.alive for worker in fleet.workers)
+        finally:
+            monkeypatch.undo()
+            fleet.close()
 
     def test_refit_on_one_worker_reaches_every_worker(self):
         # The PR 7 acceptance test, across process boundaries: worker 0

@@ -1,51 +1,13 @@
-"""Streaming quantile sketches: P² and t-digest."""
+"""The t-digest streaming quantile sketch."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures import P2Quantile, TDigest
-
-
-class TestP2Quantile:
-    def test_small_stream_exact(self):
-        q = P2Quantile(0.5)
-        for x in [5.0, 1.0, 3.0]:
-            q.add(x)
-        assert q.value() == 3.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).value()
-
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    @pytest.mark.parametrize("p", [0.5, 0.9, 0.95, 0.99])
-    def test_converges_on_exponential(self, p, rng):
-        data = rng.exponential(10.0, 50000)
-        est = P2Quantile(p)
-        for x in data:
-            est.add(x)
-        true = np.quantile(data, p)
-        assert est.value() == pytest.approx(true, rel=0.08)
-
-    def test_converges_on_uniform(self, rng):
-        data = rng.uniform(0, 1, 20000)
-        est = P2Quantile(0.9)
-        for x in data:
-            est.add(x)
-        assert est.value() == pytest.approx(0.9, abs=0.02)
-
-    def test_count_tracks(self):
-        est = P2Quantile(0.5)
-        for i in range(10):
-            est.add(float(i))
-        assert est.count == 10
+from repro.structures import TDigest
 
 
 class TestTDigest:
@@ -122,3 +84,23 @@ class TestTDigest:
         d.add_batch(np.asarray(data))
         m = d.quantile(0.5)
         assert min(data) <= m <= max(data)
+
+    def test_json_form_round_trips_bit_for_bit(self, rng):
+        d = TDigest(100)
+        d.add_batch(rng.lognormal(1.0, 1.0, 3000))
+        d.add(7.5)  # leaves an unflushed buffer behind
+        back = TDigest.from_dict(json.loads(json.dumps(d.to_dict())))
+        assert back.compression == d.compression
+        assert back.count == d.count
+        for p in (0.0, 0.5, 0.99, 0.999, 1.0):
+            assert back.quantile(p) == d.quantile(p)
+
+    def test_empty_json_form_is_strict_json(self):
+        state = TDigest().to_dict()
+        assert state["min"] is None and state["max"] is None
+        # No Infinity tokens: the form parses as strict JSON.
+        text = json.dumps(state, allow_nan=False)
+        back = TDigest.from_dict(json.loads(text))
+        assert back.count == 0
+        back.add(3.0)
+        assert back.quantile(0.0) == back.quantile(1.0) == 3.0
