@@ -706,10 +706,15 @@ class WorkerHandle:
                     host, int(port)
                 )
             self._reader, self._writer = reader, writer
-            self._read_task = loop.create_task(self._read_loop(reader))
+            self._read_task = loop.create_task(
+                self._read_loop(reader, writer)
+            )
             return writer
 
-    async def _read_loop(self, reader) -> None:
+    async def _read_loop(self, reader, writer) -> None:
+        """Route response frames to their futures until EOF or until the
+        run's event loop cancels this task at teardown; either way the
+        connection ends with it, so a later loop opens its own."""
         try:
             while True:
                 msg_type, body = await read_frame(reader)
@@ -728,6 +733,7 @@ class WorkerHandle:
             # never be answered on this connection.
             if reader is self._reader:
                 self._fail_pending()
+            writer.close()
 
     def _fail_pending(self) -> None:
         """The pipe closed: fail every pending request as shed."""

@@ -1,106 +1,34 @@
-"""Static 2-D orthogonal range counting.
+"""2-D dominance counting for monotone sweeps.
 
 Section 4.2 estimates the conditional CDF ``Pr(Y <= t - d | X > t)`` from a
-log of (primary, reissue) response-time pairs using an orthogonal range
-query structure. We provide a merge-sort-tree implementation: O(N log N)
-construction, O(log^2 N) per arbitrary query — plus a specialised sweep
-interface (:class:`DominanceSweep`) that exploits the optimizer's monotone
-query pattern to reach O(log N) amortized per step via a Fenwick tree.
+log of (primary, reissue) response-time pairs. The optimizer only ever
+asks for ``|{X > t, Y < y}|`` with ``t`` non-increasing, so
+:class:`DominanceSweep` answers it with a list-backed Fenwick tree keyed by
+y-rank: points enter the tree as ``t`` falls below their x, and each query
+is one ``bisect`` plus a prefix walk. Random-access counts need no index at
+all — a vectorized ``np.count_nonzero`` over the pair arrays is exact and
+cheap at pair-log sizes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
-
-from .fenwick import FenwickTree
-
-
-class MergeSortTree:
-    """Counts points with ``x in [x_lo, x_hi)`` and ``y < y_hi``.
-
-    A segment tree over points sorted by x; each node stores the sorted
-    y-values of its range. Queries binary-search the O(log N) covering
-    nodes.
-    """
-
-    def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be equal-length 1-D arrays")
-        if xs.size == 0:
-            raise ValueError("need at least one point")
-        order = np.argsort(xs, kind="stable")
-        self._x = xs[order]
-        self._y = ys[order]
-        self._n = xs.size
-        # Iterative bottom-up segment tree: size 2*m with m = next pow2 >= n.
-        m = 1
-        while m < self._n:
-            m <<= 1
-        self._m = m
-        self._nodes: list[np.ndarray] = [np.empty(0)] * (2 * m)
-        empty = np.empty(0, dtype=np.float64)
-        for i in range(self._n):
-            self._nodes[m + i] = self._y[i : i + 1]
-        for i in range(self._n, m):
-            self._nodes[m + i] = empty
-        for i in range(m - 1, 0, -1):
-            left, right = self._nodes[2 * i], self._nodes[2 * i + 1]
-            if left.size == 0:
-                self._nodes[i] = right
-            elif right.size == 0:
-                self._nodes[i] = left
-            else:
-                merged = np.concatenate([left, right])
-                merged.sort(kind="stable")
-                self._nodes[i] = merged
-
-    def __len__(self) -> int:
-        return self._n
-
-    def count_x_below(self, x_hi: float) -> int:
-        """Points with ``x < x_hi`` (1-D helper)."""
-        return int(np.searchsorted(self._x, x_hi, side="left"))
-
-    def count(self, x_lo_idx: int, x_hi_idx: int, y_hi: float) -> int:
-        """Points with x-rank in ``[x_lo_idx, x_hi_idx)`` and ``y < y_hi``."""
-        if x_hi_idx <= x_lo_idx:
-            return 0
-        lo = x_lo_idx + self._m
-        hi = x_hi_idx + self._m
-        total = 0
-        nodes = self._nodes
-        while lo < hi:
-            if lo & 1:
-                total += int(np.searchsorted(nodes[lo], y_hi, side="left"))
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                total += int(np.searchsorted(nodes[hi], y_hi, side="left"))
-            lo >>= 1
-            hi >>= 1
-        return total
-
-    def count_dominance(self, x_gt: float, y_lt: float) -> int:
-        """Points with ``x > x_gt`` and ``y < y_lt`` — the §4.2 query."""
-        # First x-rank strictly greater than x_gt:
-        lo = int(np.searchsorted(self._x, x_gt, side="right"))
-        return self.count(lo, self._n, y_lt)
-
-    def count_x_above(self, x_gt: float) -> int:
-        """Points with ``x > x_gt``."""
-        return self._n - int(np.searchsorted(self._x, x_gt, side="right"))
 
 
 class DominanceSweep:
     """Amortized dominance counting for monotone (t, y) query sequences.
 
     The optimizer queries ``|{X > t, Y < y}|`` with ``t`` non-increasing.
-    Points are pre-sorted by x descending; as ``t`` decreases, newly
-    qualifying points (``x > t``) are inserted into a Fenwick tree keyed by
-    y-rank, and each query is a prefix count. Total cost O(N log N) for any
-    sweep, O(log N) per query.
+    Construction sorts the points by x descending and ranks their y-values
+    with array calls; after that everything lives in Python lists. As
+    ``t`` decreases, :meth:`count_x_above` inserts the newly qualifying
+    points (``x > t``) into a Fenwick tree over 1-based y-rank slots
+    (:attr:`tree`), and :meth:`count` adds a ``bisect_left`` on
+    :attr:`y_sorted` and a prefix walk. Total cost O(N log N) for any
+    sweep, O(log N) per query. The correlated optimizer inlines that walk
+    over :attr:`tree` and :attr:`y_sorted` in its probe loop.
     """
 
     def __init__(self, xs, ys):
@@ -112,12 +40,15 @@ class DominanceSweep:
             raise ValueError("need at least one point")
         self._n = xs.size
         desc = np.argsort(-xs, kind="stable")
-        self._x_desc = xs[desc]
-        # y-ranks against the sorted unique-ish y array (ties share ranks
-        # via searchsorted left on the full sorted array).
-        self._y_sorted = np.sort(ys)
-        self._y_rank_desc = np.searchsorted(self._y_sorted, ys[desc], side="left")
-        self._tree = FenwickTree(self._n)
+        self._x_desc = xs[desc].tolist()
+        y_sorted = np.sort(ys)
+        # Fenwick slot of each point: 1 + |{ys < y}|, so ties share a slot
+        # and a prefix walk from bisect_left(y_sorted, y) counts ``Y < y``.
+        self._slot_desc = (
+            np.searchsorted(y_sorted, ys[desc], side="left") + 1
+        ).tolist()
+        self.y_sorted: list[float] = y_sorted.tolist()
+        self.tree: list[int] = [0] * (self._n + 1)
         self._inserted = 0
         self._last_t = np.inf
 
@@ -125,27 +56,35 @@ class DominanceSweep:
     def n(self) -> int:
         return self._n
 
+    def count_x_above(self, t: float) -> int:
+        """``|{X > t}|``; advances the sweep, so ``t`` must not increase."""
+        if t > self._last_t:
+            raise ValueError(
+                f"non-monotone sweep: t={t} after t={self._last_t}"
+            )
+        self._last_t = t
+        k = self._inserted
+        n = self._n
+        x_desc = self._x_desc
+        if k < n and x_desc[k] > t:
+            tree = self.tree
+            slots = self._slot_desc
+            while k < n and x_desc[k] > t:
+                i = slots[k]
+                while i <= n:
+                    tree[i] += 1
+                    i += i & -i
+                k += 1
+            self._inserted = k
+        return k
+
     def count(self, t: float, y_lt: float) -> int:
         """``|{X > t, Y < y_lt}|``; successive ``t`` must be non-increasing."""
-        if t > self._last_t:
-            raise ValueError(
-                f"non-monotone sweep: t={t} after t={self._last_t}"
-            )
-        self._last_t = t
-        while self._inserted < self._n and self._x_desc[self._inserted] > t:
-            self._tree.add(int(self._y_rank_desc[self._inserted]))
-            self._inserted += 1
-        y_hi_rank = int(np.searchsorted(self._y_sorted, y_lt, side="left"))
-        return self._tree.prefix_sum(y_hi_rank)
-
-    def count_x_above(self, t: float) -> int:
-        """``|{X > t}|`` at the current sweep position (also advances it)."""
-        if t > self._last_t:
-            raise ValueError(
-                f"non-monotone sweep: t={t} after t={self._last_t}"
-            )
-        self._last_t = t
-        while self._inserted < self._n and self._x_desc[self._inserted] > t:
-            self._tree.add(int(self._y_rank_desc[self._inserted]))
-            self._inserted += 1
-        return self._inserted
+        self.count_x_above(t)
+        tree = self.tree
+        i = bisect_left(self.y_sorted, y_lt)
+        total = 0
+        while i:
+            total += tree[i]
+            i &= i - 1
+        return total

@@ -435,6 +435,34 @@ class TestProcessFleet:
             monkeypatch.undo()
             fleet.close()
 
+    def test_each_run_closes_its_request_connection(self):
+        # LoadGenerator.run is one asyncio.run per call: the request
+        # connection opened on a run's loop must be closed when that loop
+        # ends, not leaked until garbage collection.
+        scenario = quick_scenario()
+        fleet = ProcessFleet(
+            1,
+            scenario,
+            policy=scenario.build_policy(),
+            time_scale=0.0,
+            seed=6,
+        )
+        try:
+            worker = fleet.workers[0]
+            generator = LoadGenerator(fleet, rng=6)
+            assert generator.run(30, mode="open", target_rps=0).completed == 30
+            first = worker._writer
+            first_sock = first.transport.get_extra_info("socket")
+            assert first.transport.is_closing()
+            assert first_sock.fileno() == -1
+            second = generator.run(30, mode="open", target_rps=0)
+            assert second.issued == 30 and second.shed == 0
+            assert worker._writer is not first
+            assert worker._writer.transport.is_closing()
+            assert worker.alive
+        finally:
+            fleet.close()
+
     def test_refit_on_one_worker_reaches_every_worker(self):
         # The PR 7 acceptance test, across process boundaries: worker 0
         # carries the AutoTuner; its refit must land in the parent-side
