@@ -19,14 +19,11 @@ runtime — driven by the declarative Scenario API:
     repro bench                          # perf suite + regression gate
     repro store pack trace.csv trace.store --sort   # out-of-core trace store
     repro store info trace.store
-    repro figure list                    # paper figures (was repro-experiment)
+    repro figure list                    # paper figures
     repro figure run fig3 --scale quick
-    repro serve --backend drifting --policy auto   (was repro-serve)
+    repro serve --backend drifting --policy auto   # one live hedged stream
     repro loadgen --shards 2 --rps 20000  # sharded fleet under open-loop load
     repro loadgen --procs 2 --rps 20000   # worker processes over sockets
-
-``repro-experiment`` and ``repro-serve`` remain as deprecated aliases of
-``repro figure`` and ``repro serve``.
 """
 
 from __future__ import annotations
@@ -679,13 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
     configure_store_parser(store_p)
 
     fig_p = sub.add_parser(
-        "figure", help="regenerate paper figures (was repro-experiment)"
+        "figure", help="regenerate paper figures"
     )
     configure_figure_parser(fig_p)
 
     serve_p = sub.add_parser(
         "serve",
-        help="serve a live request stream (was repro-serve)",
+        help="serve a live request stream through a reissue policy",
         description=SERVE_DESCRIPTION,
     )
     configure_serve_parser(serve_p)

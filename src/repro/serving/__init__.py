@@ -18,23 +18,26 @@ pluggable asynchronous backends:
 * :mod:`~repro.serving.autotune` — feeds observed samples back into
   :class:`repro.core.online.OnlinePolicyController` so the running policy
   re-fits under drift.
-* :mod:`~repro.serving.fleet` — :class:`ServingFleet`: N shard workers
-  (each a :class:`HedgedClient`) behind a front-door router with
-  pluggable shard selection, per-shard admission control (load
-  shedding), and a shared :class:`PolicyStore` that propagates
-  :class:`AutoTuner` refits fleet-wide.
-* :mod:`~repro.serving.procfleet` — :class:`ProcessFleet`: the same
-  front-door contract over real worker *processes* (one event loop per
-  core, length-prefixed frames on Unix/TCP sockets) with the
-  :class:`PolicyStore` served cross-process by
-  :class:`PolicyStoreServer` / :class:`RemotePolicyStore`.
+* :mod:`~repro.serving.fleet` — :class:`ServingFleet`, the one front
+  door: pluggable shard selection, routing around dead shards, and a
+  shared versioned :class:`PolicyStore` that propagates
+  :class:`AutoTuner` refits fleet-wide. Its in-loop shards are
+  :class:`ShardWorker` objects (a :class:`HedgedClient` plus admission
+  control, called directly on the same event loop).
+* :mod:`~repro.serving.procfleet` — the socket transport:
+  :class:`ProcessFleet` runs each shard in a worker process (one event
+  loop per core, length-prefixed frames on Unix/TCP sockets), reached
+  through a :class:`WorkerHandle`, with the :class:`PolicyStore` served
+  cross-process by :class:`PolicyStoreServer` /
+  :class:`RemotePolicyStore`.
 * :mod:`~repro.serving.loadgen` — closed- vs open-loop
   :class:`LoadGenerator` driving a fleet at a target RPS, plus the
   committed ``BENCH_serving.json`` record schema.
 * :mod:`~repro.serving.chaos` — :class:`ChaosBackend` fault injection
   (latency spikes, error bursts, blackouts, clock skew) for hardening
   tests and degradation demos.
-* :mod:`~repro.serving.cli` — the ``repro-serve`` console entry point.
+* :mod:`~repro.serving.cli` — the ``repro serve`` and ``repro loadgen``
+  subcommands.
 """
 
 from .autotune import AutoTuner

@@ -1,4 +1,4 @@
-"""A sharded serving fleet: N hedging shards behind one front door.
+"""One serving fleet: N hedging shards behind one front door.
 
 One :class:`~repro.serving.hedge.HedgedClient` executes the paper's
 reissue policies on one event loop. Real deployments of the hedging idea
@@ -16,22 +16,29 @@ that shape:
   admission control (when ``admission_limit`` concurrent requests are
   already active the shard *sheds* the request instead of queueing it —
   an overloaded hedging tier that queues reissues behind primaries
-  collapses; one that sheds degrades) and the policy-sync hooks.
-* :class:`ServingFleet` — the front door: pluggable shard selection
+  collapses; one that sheds degrades), policy sync, and error
+  containment. It is also the in-loop *transport*: the front door calls
+  it directly.
+* :class:`ServingFleet` — the only front door: pluggable shard selection
   (``hash`` / ``round-robin`` / ``least-loaded`` via the
-  :data:`SHARD_SELECTORS` registry), fault containment (a request whose
-  every attempt errored is counted, not propagated), and fleet-wide
-  telemetry through :meth:`~repro.serving.metrics.ServingMetrics.merge`.
+  :data:`SHARD_SELECTORS` registry), routing around dead shards, the
+  policy-version stamp, and fleet-wide telemetry through
+  :meth:`~repro.serving.metrics.ServingMetrics.merge`.
 
-The fleet is task-based: every shard lives on the calling event loop,
+The front door talks to every shard through one small surface:
+``shard_id``, ``alive``, ``load``, ``async submit(query_id, version)``,
+the ``shed`` / ``errors`` / ``completed`` counters, ``metrics()`` and
+``stats()``. A :class:`ShardWorker` lives on the calling event loop,
 which keeps runs deterministic under seeded RNGs while preserving real
-concurrency semantics (timers, cancellation, admission) per shard. The
-``AsyncBackend`` behind each shard is where process/network distribution
-would plug in.
+concurrency semantics (timers, cancellation, admission) per shard;
+:class:`~repro.serving.procfleet.ProcessFleet` hands the same front door
+:class:`~repro.serving.procfleet.WorkerHandle` shards that reach a
+``ShardWorker`` in a worker process over a socket.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import zlib
 from typing import Callable, Sequence
@@ -159,16 +166,30 @@ def make_selector(name: str):
 # ---------------------------------------------------------------------------
 
 
+def tail_stats(metrics: ServingMetrics) -> dict:
+    """The latency part of a per-shard stats entry."""
+    return {
+        "reissue_rate": round(metrics.reissue_rate, 4),
+        "deadline_misses": metrics.deadline_exceeded,
+        "p99_ms": (
+            round(metrics.quantile(0.99), 3) if metrics.completed else None
+        ),
+    }
+
+
 class ShardWorker:
     """One fleet shard: a ``HedgedClient`` + admission + policy sync.
 
     Admission control here is *load shedding*: when ``admission_limit``
     requests are already active on this shard, a new one is rejected
-    immediately (``serve_one`` returns ``None``) instead of queueing on
+    immediately (``submit`` returns ``None``) instead of queueing on
     the client's semaphore. Shedding bounds both latency (admitted
     requests never wait behind a backlog) and memory; the fleet-level
     counters make the rejected traffic visible instead of silent.
     """
+
+    #: An in-loop shard lives as long as its fleet.
+    alive = True
 
     def __init__(
         self,
@@ -205,69 +226,100 @@ class ShardWorker:
             and self.active >= self.admission_limit
         )
 
+    @property
+    def completed(self) -> int:
+        return self.client.metrics.completed
+
     def sync_policy(self) -> None:
         """Reconcile this shard with the fleet's :class:`PolicyStore`.
 
         A shard carrying an :class:`AutoTuner` is a *publisher*: any
         refit since the last sync is pushed to the store. Every other
-        shard is a *subscriber*: a newer store version replaces the
-        client's pinned policy. (Tuned shards never subscribe — their
-        client already serves ``tuner.policy`` live.)
+        shard is a *subscriber*: it reads the store and pins the
+        client to the store's policy. (Tuned shards never subscribe —
+        their client already serves ``tuner.policy`` live.)
         """
-        if self.client.tuner is not None:
-            n_refits = self.client.tuner.n_refits
+        tuner = self.client.tuner
+        if tuner is not None:
+            n_refits = tuner.n_refits
             if n_refits > self._published_refits:
                 self._published_refits = n_refits
-                self.store.publish(
-                    self.client.tuner.policy,
+                self._seen_version = self.store.publish(
+                    tuner.policy,
                     source=f"shard{self.shard_id}:refit{n_refits}",
                 )
             return
         version, policy = self.store.get()
-        if policy is not None and version != self._seen_version:
+        self._seen_version = version
+        if policy is not None:
             self.client.policy = policy
-            self._seen_version = version
 
-    async def serve_one(self, query_id: int) -> RequestOutcome | None:
-        """Admit and serve one request, or shed it (returns ``None``)."""
-        self.sync_policy()
+    async def submit(
+        self, query_id: int, version: int
+    ) -> RequestOutcome | None:
+        """Admit and serve one request, or shed it.
+
+        ``version`` is the fleet store's version when the request was
+        routed; the shard reads its store only when that stamp is newer
+        than the version it serves. Returns ``None`` when the request
+        was shed or raised — a failure is counted in ``errors`` here,
+        never propagated, so a failing backend degrades the fleet
+        instead of crashing its caller. The shed decision is made before
+        the first ``await``.
+        """
         if self.saturated:
             self.shed += 1
             return None
+        self.accepted += 1
         self.active += 1
         self.peak_active = max(self.peak_active, self.active)
-        self.accepted += 1
         try:
+            if version > self._seen_version:
+                self._seen_version = version
+                self.sync_policy()
             outcome = await self.client.request(query_id)
+            if self.client.tuner is not None:
+                # A refit may have landed during this request; publish
+                # it so sibling shards adopt before their next arrival.
+                self.sync_policy()
+            return outcome
+        except Exception:  # noqa: BLE001 - contained and counted
+            self.errors += 1
+            return None
         finally:
             self.active -= 1
-        # A refit may have landed during this request; publish promptly
-        # so sibling shards adopt before their next arrival.
-        self.sync_policy()
-        return outcome
+
+    def metrics(self) -> ServingMetrics:
+        return self.client.metrics
 
     def stats(self) -> dict:
-        """Per-shard accounting for reports and BENCH records."""
-        snap = self.client.metrics.snapshot()
+        """Per-shard accounting for reports and BENCH records.
+
+        Every request routed here was either admitted or shed, and every
+        admitted one completed or errored, so ``issued == completed +
+        shed + errors`` holds — the identity validate_record checks.
+        """
+        tuner = self.client.tuner
         return {
             "shard": self.shard_id,
-            # Every request routed here was either admitted or shed, so
-            # per-shard ``issued == completed + shed + errors`` holds —
-            # the identity validate_record checks on every worker.
+            "pid": os.getpid(),
+            "alive": True,
             "issued": self.accepted + self.shed,
             "accepted": self.accepted,
-            "completed": snap.completed,
+            "completed": self.completed,
             "shed": self.shed,
             "errors": self.errors,
             "peak_active": self.peak_active,
-            "reissue_rate": round(snap.reissue_rate, 4),
-            "deadline_misses": snap.deadline_exceeded,
-            "p99_ms": (
-                round(self.client.metrics.quantile(0.99), 3)
-                if snap.completed
-                else None
-            ),
+            **tail_stats(self.client.metrics),
+            "refits": 0 if tuner is None else tuner.n_refits,
+            "store_version": self._seen_version,
+            "policy_spec": self.client.policy.to_spec(),
         }
+
+    def close(self) -> None:
+        """Drain and stop this shard's tuner, if it carries one."""
+        if self.client.tuner is not None:
+            self.client.tuner.close()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +328,7 @@ class ShardWorker:
 
 
 class ServingFleet:
-    """N shard workers behind a pluggable front-door router.
+    """N shards behind a pluggable front-door router.
 
     Parameters
     ----------
@@ -296,6 +348,11 @@ class ServingFleet:
         (default: never shed).
     """
 
+    #: How requests reach the shards: ``"loop"`` is a direct call on
+    #: this event loop; the process fleet's sockets are ``"unix"`` or
+    #: ``"tcp"``.
+    transport = "loop"
+
     def __init__(
         self,
         clients: Sequence[HedgedClient],
@@ -307,19 +364,24 @@ class ServingFleet:
         clients = list(clients)
         if not clients:
             raise ValueError("a fleet needs at least one shard client")
-        self.store = store if store is not None else PolicyStore()
+        store = store if store is not None else PolicyStore()
+        shards = [
+            ShardWorker(i, client, store, admission_limit)
+            for i, client in enumerate(clients)
+        ]
+        self._init_front_door(shards, store, selector)
+
+    def _init_front_door(self, shards: list, store, selector) -> None:
+        self.shards = shards
+        self.store = store
         if isinstance(selector, str):
             self.selector_name = selector
             self.selector = make_selector(selector)
         else:
             self.selector_name = type(selector).__name__
             self.selector = selector
-        self.shards = [
-            ShardWorker(i, client, self.store, admission_limit)
-            for i, client in enumerate(clients)
-        ]
         self.requests = 0
-        self.errors = 0
+        self.shed_unrouted = 0
 
     @classmethod
     def build(
@@ -375,77 +437,84 @@ class ServingFleet:
             admission_limit=admission_limit,
         )
 
-    # -- properties ----------------------------------------------------------
+    # -- counters ------------------------------------------------------------
     @property
     def n_shards(self) -> int:
         return len(self.shards)
 
     @property
-    def time_scale(self) -> float:
-        """The fleet's wall-per-model-ms factor (shard 0's backend)."""
-        return self.shards[0].client.backend.time_scale
+    def shed_total(self) -> int:
+        return self.shed_unrouted + sum(s.shed for s in self.shards)
 
     @property
-    def shed_total(self) -> int:
-        return sum(s.shed for s in self.shards)
+    def errors(self) -> int:
+        return sum(s.errors for s in self.shards)
 
     @property
     def completed_total(self) -> int:
-        return sum(s.client.metrics.completed for s in self.shards)
+        return sum(s.completed for s in self.shards)
 
     # -- the front door ------------------------------------------------------
     async def request(self, query_id: int, key=None) -> RequestOutcome | None:
-        """Route and serve one request.
+        """Route one request to a live shard, stamped with the store's
+        current version.
 
-        Returns ``None`` when the selected shard shed the request or
-        every attempt of it errored (the error is contained here and
-        counted on the shard and the fleet — a failing backend must
-        degrade the fleet, not crash its caller).
+        Returns ``None`` when it was shed (admission, no live shard, or
+        a worker died with it in flight) or every attempt of it errored
+        — shards contain their failures, so the caller's stream never
+        sees an exception.
         """
         self.requests += 1
-        index = self.selector.select(self.shards, query_id, key)
-        shard = self.shards[index]
+        live = [shard for shard in self.shards if shard.alive]
+        if not live:
+            self.shed_unrouted += 1
+            return None
+        shard = live[self.selector.select(live, query_id, key) % len(live)]
+        version = self.store.version
         tracer = get_tracer()
         if not tracer.enabled:
-            return await self._serve_on(shard, query_id)
+            return await shard.submit(query_id, version)
         with tracer.span(
             "fleet.request", query_id=query_id, shard=shard.shard_id
         ) as span:
-            outcome = await self._serve_on(shard, query_id)
-            span.attrs["shed"] = outcome is None and shard.saturated
+            outcome = await shard.submit(query_id, version)
             span.attrs["ok"] = outcome is not None
+            span.attrs["transport"] = self.transport
             return outcome
-
-    async def _serve_on(self, shard, query_id):
-        try:
-            return await shard.serve_one(query_id)
-        except Exception:
-            shard.errors += 1
-            self.errors += 1
-            return None
 
     # -- fleet-wide telemetry ------------------------------------------------
     def metrics(self) -> ServingMetrics:
         """Merged cross-shard telemetry (counters exact, digest within
         the documented sketch tolerance). Always a fresh object — the
         live per-shard metrics are never mutated."""
-        merged = self.shards[0].client.metrics.merge(ServingMetrics())
-        for shard in self.shards[1:]:
-            merged = merged.merge(shard.client.metrics)
+        merged = ServingMetrics()
+        for shard in self.shards:
+            merged = merged.merge(shard.metrics())
         return merged
-
-    def snapshot(self):
-        return self.metrics().snapshot()
 
     def stats(self) -> dict:
         """The fleet's accounting: totals plus per-shard breakdown."""
         return {
             "shards": self.n_shards,
             "selector": self.selector_name,
+            "transport": self.transport,
             "requests": self.requests,
             "completed": self.completed_total,
             "shed": self.shed_total,
+            "shed_unrouted": self.shed_unrouted,
             "errors": self.errors,
             "policy_version": self.store.version,
-            "per_shard": [s.stats() for s in self.shards],
+            "per_shard": [shard.stats() for shard in self.shards],
         }
+
+    # -- lifecycle -----------------------------------------------------------
+    def close(self) -> None:
+        """Stop the shards' tuners (idempotent)."""
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self) -> "ServingFleet":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

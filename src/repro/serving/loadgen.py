@@ -44,13 +44,13 @@ MODES = ("open", "closed")
 
 #: Schema version of the BENCH_serving.json document. Version 2 added
 #: ``results.transport`` and the per-worker ``issued`` counter (with its
-#: per-worker counter identity); version-1 records stay readable.
+#: per-worker counter identity); version-1 records are refused.
 RECORD_VERSION = 2
 RECORD_KIND = "serving-loadgen"
 
-#: ``results.transport`` values: ``"loop"`` is the single-process
-#: ``ServingFleet`` (shards share one event loop); ``"unix"``/``"tcp"``
-#: are the socket transports of the multi-process ``ProcessFleet``.
+#: ``results.transport`` values: ``"loop"`` is the in-loop fleet
+#: (shards share one event loop); ``"unix"``/``"tcp"`` are the socket
+#: transports of the process fleet.
 RECORD_TRANSPORTS = ("loop", "unix", "tcp")
 
 #: Quantiles every loadgen report carries (model milliseconds).
@@ -78,8 +78,7 @@ class LoadgenResult:
     shards: int
     selector: str
     per_shard: list = field(default_factory=list)
-    #: ``"loop"`` (in-process ServingFleet) or a ProcessFleet socket
-    #: transport (``"unix"`` / ``"tcp"``).
+    #: The fleet's transport: ``"loop"``, ``"unix"`` or ``"tcp"``.
     transport: str = "loop"
 
     def render(self) -> str:
@@ -125,10 +124,9 @@ class LoadgenResult:
 class LoadGenerator:
     """Drive a freshly built fleet at a target load.
 
-    Accepts anything with the :class:`ServingFleet` front-door surface —
-    the in-loop fleet itself or a
-    :class:`~repro.serving.procfleet.ProcessFleet` driving worker
-    processes over a real socket transport.
+    Any :class:`ServingFleet` works: in-loop shards or a
+    :class:`~repro.serving.procfleet.ProcessFleet` of worker processes
+    behind the same front door.
 
     The generator reads the fleet's merged metrics *after* the run, so
     give it a fleet that has not served traffic yet — reusing a fleet
@@ -282,7 +280,7 @@ class LoadGenerator:
             shards=fleet.n_shards,
             selector=fleet.selector_name,
             per_shard=stats["per_shard"],
-            transport=getattr(fleet, "transport", "loop"),
+            transport=fleet.transport,
         )
 
 
@@ -338,11 +336,9 @@ def validate_record(record) -> list[str]:
     and the CI fleet job so the committed artifact and every CI-emitted
     one are held to the same contract.
 
-    Both schema versions are accepted: version-1 records (single-loop
-    fleets, pre-``transport``) are held to the version-1 contract;
-    version-2 records additionally need ``results.transport`` and the
-    per-worker counter identity ``issued == completed + shed + errors``
-    on every ``per_shard`` entry.
+    Only the current version is accepted. It needs
+    ``results.transport`` and the per-worker counter identity ``issued
+    == completed + shed + errors`` on every ``per_shard`` entry.
     """
     errors: list[str] = []
 
@@ -355,8 +351,8 @@ def validate_record(record) -> list[str]:
         return errors
     version = record.get("version")
     check(
-        version in (1, RECORD_VERSION),
-        f"version must be 1 (legacy) or {RECORD_VERSION}",
+        version == RECORD_VERSION,
+        f"version must be {RECORD_VERSION}, got {version!r}",
     )
     check(record.get("kind") == RECORD_KIND, f"kind must be {RECORD_KIND!r}")
     check(
@@ -442,35 +438,31 @@ def validate_record(record) -> list[str]:
             len(per_shard) == results["shards"],
             "results.per_shard must have one entry per shard",
         )
-    if version == RECORD_VERSION:
-        check(
-            results.get("transport") in RECORD_TRANSPORTS,
-            "results.transport must be one of "
-            f"{RECORD_TRANSPORTS} (version >= 2)",
-        )
-        if isinstance(per_shard, list):
-            for entry in per_shard:
-                if not isinstance(entry, dict):
-                    errors.append("per_shard entries must be objects")
-                    continue
-                label = f"per_shard[{entry.get('shard', '?')}]"
-                counters = {}
-                for name in ("issued", "completed", "shed", "errors"):
-                    value = entry.get(name)
-                    if not isinstance(value, int) or value < 0:
-                        errors.append(
-                            f"{label}.{name} must be a non-negative "
-                            "integer (version >= 2)"
-                        )
-                        break
-                    counters[name] = value
-                else:
-                    check(
-                        counters["issued"]
-                        == counters["completed"]
-                        + counters["shed"]
-                        + counters["errors"],
-                        f"{label}: issued must equal "
-                        "completed + shed + errors",
+    check(
+        results.get("transport") in RECORD_TRANSPORTS,
+        f"results.transport must be one of {RECORD_TRANSPORTS}",
+    )
+    if isinstance(per_shard, list):
+        for entry in per_shard:
+            if not isinstance(entry, dict):
+                errors.append("per_shard entries must be objects")
+                continue
+            label = f"per_shard[{entry.get('shard', '?')}]"
+            counters = {}
+            for name in ("issued", "completed", "shed", "errors"):
+                value = entry.get(name)
+                if not isinstance(value, int) or value < 0:
+                    errors.append(
+                        f"{label}.{name} must be a non-negative integer"
                     )
+                    break
+                counters[name] = value
+            else:
+                check(
+                    counters["issued"]
+                    == counters["completed"]
+                    + counters["shed"]
+                    + counters["errors"],
+                    f"{label}: issued must equal completed + shed + errors",
+                )
     return errors

@@ -1,32 +1,34 @@
-"""A multi-process serving fleet: one event loop per core, sockets between.
+"""Process shards: the serving fleet's socket transport.
 
-:class:`~repro.serving.fleet.ServingFleet` shards N hedging clients
-across *one* asyncio loop on *one* core — it measures concurrency, not
-parallelism. This module scales the same front-door contract out to real
+An in-loop :class:`~repro.serving.fleet.ServingFleet` runs every shard
+on *one* asyncio loop on *one* core — it measures concurrency, not
+parallelism. This module gives the same front door shards that are real
 worker processes, the "Tail at Scale" deployment shape: hedging across
 independently scheduled workers whose stragglers are uncorrelated, and
 whose cost is paid over a real transport instead of an in-process call.
 
-* :class:`ProcessFleet` — the front door. Spawns one worker process per
-  shard, routes requests to them over length-prefixed frames on
-  Unix-domain or TCP sockets, contains worker death (a closed pipe sheds
-  the in-flight requests and reroutes new arrivals — the front door
-  never hangs), and aggregates per-worker
-  :class:`~repro.serving.metrics.ServingMetrics` through the existing
-  ``merge()`` contract.
+* :class:`WorkerHandle` — the front door's shard handle for one worker:
+  ``submit`` sends a request frame over a Unix-domain or TCP socket and
+  awaits its reply; front-door counters and a shadow
+  :class:`~repro.serving.metrics.ServingMetrics` keep the accounting
+  exact when the worker dies (a closed pipe sheds the in-flight
+  requests, and the front door routes around the dead shard).
 * :func:`_worker_main` — one worker: its own event loop, its own
   :class:`~repro.serving.hedge.HedgedClient` (plus optional
   :class:`~repro.serving.autotune.AutoTuner` on the tuned shard) wrapped
-  in the same :class:`~repro.serving.fleet.ShardWorker`
-  admission/policy-sync logic the in-loop fleet uses.
+  in the same :class:`~repro.serving.fleet.ShardWorker` the in-loop
+  fleet calls directly.
 * :class:`PolicyStoreServer` / :class:`RemotePolicyStore` — the
   fleet-shared :class:`~repro.serving.fleet.PolicyStore` moved behind a
   socket. The server (in the front-door process) owns the versioned
   store. The front door stamps the store's version on every request
-  frame, and a worker's ``RemotePolicyStore`` fetches the policy only
-  when that version is newer than its cache. So one worker's autotuner
-  refit reaches every worker before it serves its next request, at no
-  per-request socket cost.
+  frame, and a worker's ``ShardWorker`` reads its ``RemotePolicyStore``
+  (one round trip) only when that version is newer than the one it
+  serves. So one worker's autotuner refit reaches every worker before
+  it serves its next request, at no per-request socket cost.
+* :class:`ProcessFleet` — the process lifecycle: it spawns the workers
+  and the store server and hands the workers to the ``ServingFleet``
+  front door it inherits.
 
 Wire protocol
 -------------
@@ -63,7 +65,7 @@ import numpy as np
 
 from ..core.policies import ReissuePolicy
 from ..obs.trace import absorb, get_tracer, snapshot_context
-from .fleet import PolicyStore, ShardWorker, make_selector
+from .fleet import PolicyStore, ServingFleet, ShardWorker, tail_stats
 from .hedge import RequestOutcome
 from .metrics import ServingMetrics
 
@@ -84,13 +86,11 @@ _HIGH_WATER = 64 << 10
 MSG_REQUEST = 0x01  # parent -> worker: _REQUEST record
 MSG_RESPONSE = 0x02  # worker -> parent: _RESPONSE record
 MSG_SHED = 0x03  # worker -> parent: {"seq", "qid"} (admission shed)
-MSG_ERROR = 0x04  # worker -> parent: {"seq", "qid", "error"}
-MSG_HEALTH = 0x05  # parent -> worker: {}
-MSG_HEALTHY = 0x06  # worker -> parent: {"shard", "pid", "served"}
+MSG_ERROR = 0x04  # worker -> parent: {"seq", "qid"} (contained failure)
 MSG_METRICS = 0x07  # parent -> worker: {} (metrics-pull)
 MSG_METRICS_REPLY = 0x08  # worker -> parent: {"metrics", "stats"}
 MSG_SHUTDOWN = 0x09  # parent -> worker: {}
-MSG_BYE = 0x0A  # worker -> parent: {"stats", "spans"}
+MSG_BYE = 0x0A  # worker -> parent: {"spans"}
 MSG_STORE_GET = 0x14  # client -> store: {}
 MSG_STORE_STATE = 0x15  # store -> client: {"version", "policy"}
 MSG_STORE_PUBLISH = 0x16  # client -> store: {"policy", "source"}
@@ -318,15 +318,13 @@ class PolicyStoreServer:
 class RemotePolicyStore:
     """Worker-side :class:`PolicyStore` replacement over a socket.
 
-    ``get()`` returns the locally cached ``(version, policy)`` snapshot
-    and never touches the socket. The front door stamps the
-    authoritative version on every request frame; :meth:`observe`
-    refreshes the cache only when that version is newer, so a worker
-    adopts a publish before it serves the next request routed to it, at
-    the cost of one round trip per publish rather than per request.
-    ``publish()`` is a synchronous round trip (refits are rare) and
-    updates the cache immediately, so a tuned worker always serves the
-    version it just published.
+    ``get()`` is one round trip to the server. The front door stamps
+    the authoritative version on every request frame and a
+    :class:`ShardWorker` calls ``get()`` only when that stamp is newer
+    than the version it serves, so a worker adopts a publish before it
+    serves the next request routed to it, at the cost of one round trip
+    per publish rather than per request. ``publish()`` is a synchronous
+    round trip (refits are rare).
     """
 
     def __init__(
@@ -343,7 +341,8 @@ class RemotePolicyStore:
         self._sock: socket.socket | None = None
         self._version = 0
         self._policy: ReissuePolicy | None = None
-        self.refresh()  # fail fast if the server is unreachable
+        # Fail fast if the server is unreachable.
+        self._adopt(self._rpc(MSG_STORE_GET, {}))
 
     @property
     def version(self) -> int:
@@ -385,21 +384,13 @@ class RemotePolicyStore:
             )
             self._version = version
 
-    def refresh(self) -> tuple[int, ReissuePolicy | None]:
-        """Force a round trip to the server; returns the fresh snapshot."""
-        self._adopt(self._rpc(MSG_STORE_GET, {}))
-        return self._version, self._policy
-
-    def observe(self, version: int) -> None:
-        """Refresh if the fleet's store has moved past the cache."""
-        if version > self._version:
-            try:
-                self.refresh()
-            except (ConnectionError, OSError):
-                pass  # serve the cached policy; the next request retries
-
     def get(self) -> tuple[int, ReissuePolicy | None]:
-        """The cached ``(version, policy)``."""
+        """The server's ``(version, policy)``; the last one seen if the
+        server is unreachable (the next newer stamp retries)."""
+        try:
+            self._adopt(self._rpc(MSG_STORE_GET, {}))
+        except (ConnectionError, OSError):
+            pass
         return self._version, self._policy
 
     def publish(self, policy: ReissuePolicy, source: str = "") -> int:
@@ -471,17 +462,6 @@ async def _worker_serve(spec: dict) -> None:
     done = asyncio.Event()
     tasks: set[asyncio.Task] = set()  # strong refs: a bare task is weak
 
-    def worker_stats() -> dict:
-        stats = shard.stats()
-        stats.update(
-            pid=os.getpid(),
-            refits=0 if tuner is None else tuner.n_refits,
-            store_version=store.version,
-            policy_spec=client.policy.to_spec(),
-            peak_in_flight=client.peak_in_flight,
-        )
-        return stats
-
     async def handle_conn(reader, writer):
         wlock = asyncio.Lock()
 
@@ -493,32 +473,21 @@ async def _worker_serve(spec: dict) -> None:
                 async with wlock:
                     await writer.drain()
 
-        async def serve_request(seq: int, qid: int) -> None:
+        async def serve_request(seq: int, qid: int, version: int) -> None:
+            # submit() sheds before its first await, so this is the
+            # saturation it decides on.
+            shed = shard.saturated
+            outcome = await shard.submit(qid, version)
+            if outcome is not None:
+                reply = MSG_RESPONSE, (seq, outcome)
+            else:
+                reply = MSG_SHED if shed else MSG_ERROR, {"seq": seq, "qid": qid}
             # If the parent connection closed mid-request the reply has
             # nowhere to go — drop it; the parent already shed the seq.
             try:
-                await _serve_request(seq, qid)
+                await send(*reply)
             except (RuntimeError, ConnectionError, OSError):
                 pass
-
-        async def _serve_request(seq: int, qid: int) -> None:
-            try:
-                outcome = await shard.serve_one(qid)
-            except Exception as exc:  # noqa: BLE001 - contained, reported
-                shard.errors += 1
-                await send(
-                    MSG_ERROR,
-                    {
-                        "seq": seq,
-                        "qid": qid,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
-                return
-            if outcome is None:
-                await send(MSG_SHED, {"seq": seq, "qid": qid})
-                return
-            await send(MSG_RESPONSE, (seq, outcome))
 
         try:
             while True:
@@ -527,43 +496,29 @@ async def _worker_serve(spec: dict) -> None:
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 if msg_type == MSG_REQUEST:
-                    seq, qid, version = body
-                    store.observe(version)
-                    task = asyncio.ensure_future(serve_request(seq, qid))
+                    task = asyncio.ensure_future(serve_request(*body))
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
-                elif msg_type == MSG_HEALTH:
-                    await send(
-                        MSG_HEALTHY,
-                        {
-                            "shard": shard_id,
-                            "pid": os.getpid(),
-                            "served": client.metrics.completed,
-                        },
-                    )
                 elif msg_type == MSG_METRICS:
                     await send(
                         MSG_METRICS_REPLY,
                         {
                             "metrics": client.metrics.to_dict(),
-                            "stats": worker_stats(),
+                            "stats": shard.stats(),
                         },
                     )
                 elif msg_type == MSG_SHUTDOWN:
-                    if tuner is not None:
-                        try:
-                            tuner.close()
-                        except Exception:  # noqa: BLE001 - report, don't die
-                            pass
+                    try:
+                        shard.close()
+                    except Exception:  # noqa: BLE001 - report, don't die
+                        pass
                     tracer = get_tracer()
                     spans = (
                         [s.as_dict() for s in tracer.drain()]
                         if tracer.enabled
                         else []
                     )
-                    await send(
-                        MSG_BYE, {"stats": worker_stats(), "spans": spans}
-                    )
+                    await send(MSG_BYE, {"spans": spans})
                     done.set()
                     return
                 else:
@@ -597,7 +552,7 @@ async def _worker_serve(spec: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The front door
+# The worker's shard handle and the process lifecycle
 # ---------------------------------------------------------------------------
 
 
@@ -606,7 +561,7 @@ class _WorkerDied(ConnectionError):
 
 
 class WorkerHandle:
-    """The front door's view of one worker process.
+    """The front door's shard handle for one worker process.
 
     Owns the process handle, the per-event-loop request connection, and
     the parent-side accounting: ``dispatched``/``completed``/``shed``/
@@ -782,8 +737,8 @@ class WorkerHandle:
     # -- blocking control-plane RPCs (off the event loop) --------------------
     def control_rpc(self, msg_type: int, body: dict, timeout: float = 10.0):
         """One blocking request/reply on a fresh connection — usable
-        after the serving event loop has closed (metrics-pull, health,
-        shutdown all come through here)."""
+        after the serving event loop has closed (metrics-pull and
+        shutdown both come through here)."""
         sock = _connect_blocking(
             self.spec["transport"], self.address, timeout
         )
@@ -808,17 +763,40 @@ class WorkerHandle:
         body["metrics"] = ServingMetrics.from_dict(body["metrics"])
         return body
 
-    def healthcheck(self, timeout: float = 5.0) -> dict | None:
-        if not self.alive:
-            return None
-        try:
-            msg_type, body = self.control_rpc(MSG_HEALTH, {}, timeout)
-        except (ConnectionError, OSError, TimeoutError):
-            return None
-        return body if msg_type == MSG_HEALTHY else None
+    def metrics(self) -> ServingMetrics:
+        """The worker's own metrics; its front-door shadow once it is
+        dead, so every response that arrived is still counted."""
+        pulled = self.pull()
+        return self.shadow if pulled is None else pulled["metrics"]
+
+    def stats(self) -> dict:
+        """Per-shard accounting with the in-loop shard's keys.
+
+        Counters and latency come from the front door, so ``issued ==
+        completed + shed + errors`` holds even across a crash; peak,
+        refits and policy come from the worker while it is alive
+        (``None`` once it is dead).
+        """
+        pulled = self.pull()
+        detail = {} if pulled is None else pulled["stats"]
+        return {
+            "shard": self.shard_id,
+            "pid": self.process.pid,
+            "alive": self.alive,
+            "issued": self.dispatched,
+            "accepted": self.completed + self.errors,
+            "completed": self.completed,
+            "shed": self.shed,
+            "errors": self.errors,
+            "peak_active": detail.get("peak_active"),
+            **tail_stats(self.shadow),
+            "refits": detail.get("refits"),
+            "store_version": detail.get("store_version"),
+            "policy_spec": detail.get("policy_spec"),
+        }
 
     def shutdown(self, timeout: float = 10.0) -> dict | None:
-        """Graceful stop; returns the BYE payload (final stats + spans)."""
+        """Graceful stop; returns the BYE payload (buffered spans)."""
         bye = None
         if self.alive:
             try:
@@ -841,18 +819,19 @@ class WorkerHandle:
             self.process.kill()
 
 
-class ProcessFleet:
-    """N worker *processes* behind the same front door as ``ServingFleet``.
+class ProcessFleet(ServingFleet):
+    """The serving fleet over N worker *processes*.
 
-    Duck-compatible with :class:`~repro.serving.fleet.ServingFleet` where
-    the :class:`~repro.serving.loadgen.LoadGenerator` is concerned:
-    ``await fleet.request(qid)``, ``fleet.metrics()`` (merged via the
-    ``ServingMetrics.merge`` contract), ``fleet.stats()``,
-    ``shed_total`` / ``errors`` / ``store.version``. The differences are
-    what the process boundary buys: every worker owns a core-wide event
-    loop, requests travel over real sockets, and one worker dying sheds
-    its in-flight requests and reroutes new arrivals instead of taking
-    the fleet down.
+    Routing, accounting, ``metrics()`` and ``stats()`` are the inherited
+    :class:`~repro.serving.fleet.ServingFleet` front door; its shards
+    are :class:`WorkerHandle` objects (also kept as ``workers``). This
+    class owns the process lifecycle: it starts the
+    :class:`PolicyStoreServer` around the fleet's store, spawns one
+    worker per shard, and shuts both down in :meth:`close`. What the
+    process boundary buys: every worker owns a core-wide event loop,
+    requests travel over real sockets, and one worker dying sheds its
+    in-flight requests and reroutes new arrivals instead of taking the
+    fleet down.
 
     Parameters mirror ``ServingFleet.build`` plus the process-fleet
     knobs: ``transport`` (``"unix"`` default, ``"tcp"``), ``autotune``
@@ -880,33 +859,22 @@ class ProcessFleet:
     ):
         if n_procs < 1:
             raise ValueError("n_procs must be >= 1")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(valid: {', '.join(TRANSPORTS)})"
-            )
         if autotune is not None and not 0 <= tuned_shard < n_procs:
             raise ValueError(
                 f"tuned_shard {tuned_shard} out of range for "
                 f"{n_procs} worker(s)"
             )
-        self.transport = transport
-        self.time_scale = float(time_scale)
-        if isinstance(selector, str):
-            self.selector_name = selector
-            self.selector = make_selector(selector)
-        else:
-            self.selector_name = type(selector).__name__
-            self.selector = selector
         self._runtime_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        self._store_server = PolicyStoreServer(
-            PolicyStore(policy),
-            transport=transport,
-            runtime_dir=self._runtime_dir,
-        )
-        self.requests = 0
-        self.shed_unrouted = 0
-        self._absorbed_spans = 0
+        try:
+            self._store_server = PolicyStoreServer(
+                PolicyStore(policy),
+                transport=transport,
+                runtime_dir=self._runtime_dir,
+            )
+        except ValueError:  # an unknown transport, named by the server
+            shutil.rmtree(self._runtime_dir, ignore_errors=True)
+            raise
+        self.transport = transport
         self._closed = False
         ctx = multiprocessing.get_context("spawn")
         scenario_dict = scenario.to_dict()
@@ -945,129 +913,8 @@ class ProcessFleet:
         except BaseException:
             self.close()
             raise
+        self._init_front_door(self.workers, self._store_server.store, selector)
 
-    # -- ServingFleet-compatible surface -------------------------------------
-    @property
-    def store(self) -> PolicyStore:
-        """The authoritative fleet policy store (lives in this process)."""
-        return self._store_server.store
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.workers)
-
-    @property
-    def shed_total(self) -> int:
-        return self.shed_unrouted + sum(w.shed for w in self.workers)
-
-    @property
-    def errors(self) -> int:
-        return sum(w.errors for w in self.workers)
-
-    @property
-    def completed_total(self) -> int:
-        return sum(w.completed for w in self.workers)
-
-    @property
-    def live_workers(self) -> list[WorkerHandle]:
-        return [w for w in self.workers if w.alive]
-
-    async def request(self, query_id: int, key=None) -> RequestOutcome | None:
-        """Route one request to a live worker over the socket transport.
-
-        Returns ``None`` when it was shed (admission, no live worker, or
-        a worker died with it in flight) or every attempt errored —
-        worker failure is contained here, never raised to the stream.
-        """
-        self.requests += 1
-        live = self.live_workers
-        if not live:
-            self.shed_unrouted += 1
-            return None
-        worker = live[self.selector.select(live, query_id, key) % len(live)]
-        version = self._store_server.store.version
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return await worker.submit(query_id, version)
-        with tracer.span(
-            "fleet.request", query_id=query_id, shard=worker.shard_id
-        ) as span:
-            outcome = await worker.submit(query_id, version)
-            span.attrs["ok"] = outcome is not None
-            span.attrs["transport"] = self.transport
-            return outcome
-
-    def metrics(self) -> ServingMetrics:
-        """Fleet-merged telemetry via ``ServingMetrics.merge``.
-
-        Live workers are pulled over the metrics-pull RPC (their own
-        sketches, the same objects a single-process shard would merge);
-        a dead worker contributes its front-door shadow instead, so the
-        merged counters still account for every response that arrived.
-        """
-        merged = ServingMetrics().merge(ServingMetrics())
-        for worker in self.workers:
-            pulled = worker.pull()
-            part = worker.shadow if pulled is None else pulled["metrics"]
-            merged = merged.merge(part)
-        return merged
-
-    def snapshot(self):
-        return self.metrics().snapshot()
-
-    def stats(self) -> dict:
-        """Fleet accounting: front-door counters + per-worker detail.
-
-        Counter truth (``issued``/``completed``/``shed``/``errors``) is
-        front-door-side so the identity ``issued == completed + shed +
-        errors`` holds per worker even across a crash; latency/tuning
-        detail is pulled from the worker when it is alive.
-        """
-        per_worker = []
-        for worker in self.workers:
-            pulled = worker.pull()
-            entry = {
-                "shard": worker.shard_id,
-                "issued": worker.dispatched,
-                "accepted": worker.completed + worker.errors,
-                "completed": worker.completed,
-                "shed": worker.shed,
-                "errors": worker.errors,
-                "alive": worker.alive,
-                "peak_active": None,
-                "reissue_rate": round(worker.shadow.reissue_rate, 4),
-                "deadline_misses": worker.shadow.deadline_exceeded,
-                "p99_ms": (
-                    round(worker.shadow.quantile(0.99), 3)
-                    if worker.shadow.completed
-                    else None
-                ),
-            }
-            if pulled is not None:
-                detail = pulled["stats"]
-                entry.update(
-                    peak_active=detail.get("peak_active"),
-                    pid=detail.get("pid"),
-                    refits=detail.get("refits", 0),
-                    store_version=detail.get("store_version", 0),
-                    policy_spec=detail.get("policy_spec"),
-                )
-            per_worker.append(entry)
-        unrouted = self.shed_unrouted
-        return {
-            "shards": self.n_shards,
-            "selector": self.selector_name,
-            "transport": self.transport,
-            "requests": self.requests,
-            "completed": self.completed_total,
-            "shed": self.shed_total,
-            "shed_unrouted": unrouted,
-            "errors": self.errors,
-            "policy_version": self.store.version,
-            "per_shard": per_worker,
-        }
-
-    # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Shut every worker down, absorb their spans, stop the store
         server, and remove the socket/ready files (idempotent)."""
@@ -1077,15 +924,9 @@ class ProcessFleet:
         for worker in self.workers:
             bye = worker.shutdown()
             if bye and bye.get("spans"):
-                self._absorbed_spans += absorb(bye["spans"])
+                absorb(bye["spans"])
         self._store_server.close()
         shutil.rmtree(self._runtime_dir, ignore_errors=True)
-
-    def __enter__(self) -> "ProcessFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:

@@ -196,14 +196,15 @@ class TestValidateRecord:
         problems = validate_record(record)
         assert any("per_shard[0]" in p for p in problems)
 
-    def test_legacy_v1_record_still_validates(self, record):
+    def test_v1_record_is_refused_naming_its_version(self, record):
         # A pre-transport record (as committed by earlier revisions):
         # no results.transport, no per-shard issued counters.
         record["version"] = 1
         del record["results"]["transport"]
         for shard in record["results"]["per_shard"]:
             del shard["issued"]
-        assert validate_record(record) == []
+        problems = validate_record(record)
+        assert "version must be 2, got 1" in problems
 
     def test_unknown_version_rejected(self, record):
         record["version"] = 3

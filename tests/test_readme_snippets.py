@@ -47,12 +47,6 @@ def test_readme_snippet_runs(idx):
     )
 
 
-def test_readme_documents_both_console_scripts():
-    text = README.read_text()
-    assert "repro-experiment" in text
-    assert "repro-serve" in text
-
-
 def test_readme_quickstart_cli_lines_point_at_real_modules():
     """Every `python -m repro...` invocation in the README names an
     importable module (catches renamed CLIs without running them)."""

@@ -1,6 +1,4 @@
-"""The unified ``repro`` CLI and the deprecated console-script shims."""
-
-import warnings
+"""The unified ``repro`` CLI."""
 
 import pytest
 
@@ -134,25 +132,3 @@ class TestServeSubcommand:
         out = capsys.readouterr().out
         assert "== final ==" in out
         assert "requests completed" in out
-
-
-class TestDeprecatedShims:
-    def test_repro_experiment_warns_and_works(self, capsys):
-        from repro import cli
-
-        with pytest.warns(DeprecationWarning, match="repro figure"):
-            rc = cli.main(["list"])
-        assert rc == 0
-        assert "fig2" in capsys.readouterr().out
-
-    def test_repro_serve_warns_and_works(self, capsys):
-        from repro.serving import cli
-
-        with pytest.warns(DeprecationWarning, match="repro serve"):
-            rc = cli.main(["--requests", "0"])
-        assert rc == 2  # argument validation still runs after the warning
-
-    def test_unified_cli_does_not_warn(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["scenarios", "list"]) == 0

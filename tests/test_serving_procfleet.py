@@ -18,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import SingleR
+from repro.core.policies import NoReissue, SingleR
+from repro.distributions import Deterministic
 from repro.scenarios import coerce_scenario
-from repro.serving.fleet import PolicyStore
-from repro.serving.hedge import RequestOutcome
+from repro.scenarios.engines import serving_backend
+from repro.serving.backends import SyntheticBackend
+from repro.serving.fleet import PolicyStore, ServingFleet, ShardWorker
+from repro.serving.hedge import HedgedClient, RequestOutcome
 from repro.serving.loadgen import (
     RECORD_VERSION,
     LoadGenerator,
@@ -308,26 +311,38 @@ class TestRemotePolicyStore:
             a = RemotePolicyStore(server.address)
             b = RemotePolicyStore(server.address)
             assert len(round_trips) == 2  # one snapshot each at start
-            assert a.get() == b.get() == (1, SingleR(10.0, 0.5))
+            assert (b.version, b.policy) == (1, SingleR(10.0, 0.5))
+            # A shard over b reads it only when a request's version stamp
+            # is newer than the version it serves: one round trip per
+            # newer stamp, none for a stamp that is not newer.
+            client = HedgedClient(
+                SyntheticBackend(Deterministic(1.0), 0.0), NoReissue()
+            )
+            shard = ShardWorker(1, client, b)
+
+            def serve(*stamps):
+                async def go():
+                    for qid, stamp in enumerate(stamps):
+                        assert await shard.submit(qid, stamp) is not None
+
+                asyncio.run(go())
+
+            serve(0, 1, 1, 1)
+            assert client.policy == SingleR(10.0, 0.5)
+            assert len(round_trips) == 3
             # A publish from one client lands at v2 with the in-process
             # store's provenance; the publisher's cache updates in place.
             assert a.publish(SingleR(25.0, 0.3), source="clientA") == 2
-            assert a.get() == (2, SingleR(25.0, 0.3))
+            assert (a.version, a.policy) == (2, SingleR(25.0, 0.3))
             assert server.store.publishes == [(1, "init"), (2, "clientA")]
-            # get() never touches the socket, however often it runs, and
-            # an advertised version that is not newer costs nothing.
-            for advertised in (0, 1, 1, 1):
-                b.observe(advertised)
-                assert b.get() == (1, SingleR(10.0, 0.5))
-            assert len(round_trips) == 2
-            # The first newer version adopts the publish: one round trip.
-            b.observe(2)
-            assert b.get() == (2, SingleR(25.0, 0.3))
+            serve(1, 1)
+            assert client.policy == SingleR(10.0, 0.5)
             assert len(round_trips) == 3
-            for _ in range(3):
-                b.observe(2)
-            a.observe(2)  # the publisher already holds v2
-            assert len(round_trips) == 3
+            serve(2)
+            assert client.policy == SingleR(25.0, 0.3)
+            assert len(round_trips) == 4
+            serve(2, 2, 1)
+            assert len(round_trips) == 4
             a.close()
             b.close()
         finally:
@@ -340,7 +355,6 @@ class TestRemotePolicyStore:
             assert client.get() == (0, None)
             assert client.publish(SingleR(5.0, 0.2), source="t") == 1
             server.store.publish(SingleR(6.0, 0.1), source="direct")
-            client.observe(2)
             assert client.get() == (2, SingleR(6.0, 0.1))
             client.close()
         finally:
@@ -571,3 +585,64 @@ class TestProcessFleet:
             ProcessFleet(0, scenario)
         with pytest.raises(ValueError, match="unix, tcp"):
             ProcessFleet(1, scenario, transport="smoke-signal")
+
+
+# ---------------------------------------------------------------------------
+# One front door, two transports
+# ---------------------------------------------------------------------------
+
+FLEET_STATS_KEYS = {
+    "shards", "selector", "transport", "requests", "completed", "shed",
+    "shed_unrouted", "errors", "policy_version", "per_shard",
+}
+SHARD_STATS_KEYS = {
+    "shard", "pid", "alive", "issued", "accepted", "completed", "shed",
+    "errors", "peak_active", "reissue_rate", "deadline_misses", "p99_ms",
+    "refits", "store_version", "policy_spec",
+}
+
+
+def contract_fleet(transport: str):
+    scenario = quick_scenario()
+    if transport == "loop":
+        return ServingFleet.build(
+            2,
+            lambda shard, rng: serving_backend(scenario, 0.0, rng),
+            policy=scenario.build_policy(),
+            seed=8,
+        )
+    return ProcessFleet(
+        2,
+        scenario,
+        policy=scenario.build_policy(),
+        time_scale=0.0,
+        transport=transport,
+        seed=8,
+    )
+
+
+@pytest.mark.parametrize("transport", ["loop", "unix"])
+def test_front_door_contract_holds_on_every_transport(transport):
+    with contract_fleet(transport) as fleet:
+        result = LoadGenerator(fleet, rng=8).run(
+            120, mode="open", target_rps=0
+        )
+        stats = fleet.stats()
+        assert set(stats) == FLEET_STATS_KEYS
+        assert stats["transport"] == result.transport == transport
+        for entry in stats["per_shard"]:
+            assert set(entry) == SHARD_STATS_KEYS
+            assert entry["alive"]
+            assert (
+                entry["issued"]
+                == entry["completed"] + entry["shed"] + entry["errors"]
+            )
+        record = as_record(result, "fleet-tail-quick", {"transport": transport})
+        assert validate_record(json.loads(json.dumps(record))) == []
+        if transport != "loop":
+            # A dead worker's entry keeps the same keys.
+            fleet.workers[1].kill()
+            fleet.workers[1].process.join(timeout=10)
+            dead = fleet.stats()["per_shard"][1]
+            assert set(dead) == SHARD_STATS_KEYS
+            assert not dead["alive"]
